@@ -21,7 +21,6 @@
 #include "tkc/baselines/dn_graph.h"
 #include "tkc/core/analysis_context.h"
 #include "tkc/core/dynamic_core.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/csr.h"
@@ -198,7 +197,8 @@ BENCHMARK(BM_TriangleCorePeel_Recompute)->Arg(1000)->Arg(10000)->Arg(50000);
 
 // Peel-phase split: both peel benches pre-force the context's support cache
 // so the loop times *only* the peel (the support phase is measured by the
-// BM_SupportCount_* family above).
+// BM_SupportCount_* family above). BM_Peel_Serial times the one peel at 1
+// thread; BM_Peel_RoundSync times it at the thread count in its second arg.
 void BM_Peel_Serial(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
   AnalysisContext ctx(g, /*threads=*/1);
@@ -218,7 +218,7 @@ void BM_Peel_RoundSync(benchmark::State& state) {
   AnalysisContext ctx(g, threads);
   ctx.Supports();
   for (auto _ : state) {
-    auto r = ComputeTriangleCoresParallel(ctx);
+    auto r = ComputeTriangleCores(ctx);
     benchmark::DoNotOptimize(r.max_kappa);
   }
   state.SetItemsProcessed(state.iterations() *

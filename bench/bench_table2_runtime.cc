@@ -14,7 +14,6 @@
 #include "tkc/baselines/csv.h"
 #include "tkc/baselines/dn_graph.h"
 #include "tkc/core/analysis_context.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 
 namespace tkc::bench {
@@ -54,9 +53,10 @@ int Run(int argc, char** argv) {
 
     // Phase split on the shared CSR read path: support pass in both
     // enumeration modes (full adjacency vs oriented out-lists), then the
-    // peel alone — serial bucket queue vs round-synchronous parallel —
-    // against the context's pre-forced support cache.
+    // peel alone — at 1 thread and at --threads — against each context's
+    // pre-forced support cache.
     AnalysisContext ctx(g, cfg.threads);
+    AnalysisContext serial_ctx(ctx.csr_ptr(), /*threads=*/1);
     t.Restart();
     auto support_full = ComputeEdgeSupportsFullScan(ctx.csr());
     const double support_full_s = t.Seconds();
@@ -64,11 +64,12 @@ int Run(int argc, char** argv) {
     auto support_oriented = ComputeEdgeSupports(ctx.csr(), 1);
     const double support_oriented_s = t.Seconds();
     ctx.Supports();
+    serial_ctx.Supports();
     t.Restart();
-    TriangleCoreResult serial_peel = ComputeTriangleCores(ctx);
+    TriangleCoreResult serial_peel = ComputeTriangleCores(serial_ctx);
     const double peel_serial_s = t.Seconds();
     t.Restart();
-    TriangleCoreResult parallel_peel = ComputeTriangleCoresParallel(ctx);
+    TriangleCoreResult parallel_peel = ComputeTriangleCores(ctx);
     const double peel_parallel_s = t.Seconds();
 
     std::string bitridn_s = "skipped", tridn_s = "skipped",
@@ -125,8 +126,7 @@ int Run(int argc, char** argv) {
                FmtCount(cores.triangle_count), Fmt(tkc_s), bitridn_s,
                tridn_s, csv_s});
     std::printf(
-        "  phases: support full=%s oriented=%s | peel serial=%s "
-        "parallel(t%d)=%s\n",
+        "  phases: support full=%s oriented=%s | peel t1=%s t%d=%s\n",
         Fmt(support_full_s).c_str(), Fmt(support_oriented_s).c_str(),
         Fmt(peel_serial_s).c_str(), ctx.threads(),
         Fmt(peel_parallel_s).c_str());

@@ -15,7 +15,6 @@
 #include "tkc/core/analysis_context.h"
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/hierarchy.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/engine/engine.h"
 #include "tkc/gen/generators.h"
@@ -243,28 +242,26 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   } else {
     ctx.emplace(*src->graph);
   }
-  // With more than one worker, peel with the round-synchronous parallel
-  // formulation — κ output is bit-identical to the serial bucket peel.
-  const bool parallel = ctx->threads() > 1;
-  TriangleCoreResult r = parallel ? ComputeTriangleCoresParallel(*ctx)
-                                  : ComputeTriangleCores(*ctx, mode);
+  TriangleCoreResult r = ComputeTriangleCores(*ctx, mode);
   double seconds = t.Seconds();
   obs::Logger::Global().Info("decompose.done",
                              {{"edges", ctx->csr().NumEdges()},
                               {"triangles", r.triangle_count},
                               {"max_kappa", r.max_kappa},
-                              {"peel", parallel ? "parallel" : "serial"},
                               {"relabel", relabel_text},
                               {"seconds", seconds}});
-  out << "# u v kappa co_clique_size\n";
-  ctx->csr().ForEachEdge([&](EdgeId e, const Edge&) {
-    const Edge oe = ctx->csr().OriginalEdge(e);
-    out << oe.u << ' ' << oe.v << ' ' << r.kappa[e] << ' '
-        << r.CocliqueSize(e) << '\n';
-  });
-  out << "# edges=" << ctx->csr().NumEdges()
-      << " triangles=" << r.triangle_count
-      << " max_kappa=" << r.max_kappa << " seconds=" << seconds << '\n';
+  {
+    TKC_SPAN("cli.write_output");
+    out << "# u v kappa co_clique_size\n";
+    ctx->csr().ForEachEdge([&](EdgeId e, const Edge&) {
+      const Edge oe = ctx->csr().OriginalEdge(e);
+      out << oe.u << ' ' << oe.v << ' ' << r.kappa[e] << ' '
+          << r.CocliqueSize(e) << '\n';
+    });
+    out << "# edges=" << ctx->csr().NumEdges()
+        << " triangles=" << r.triangle_count
+        << " max_kappa=" << r.max_kappa << " seconds=" << seconds << '\n';
+  }
   return 0;
 }
 

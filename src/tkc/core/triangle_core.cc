@@ -1,15 +1,22 @@
 #include "tkc/core/triangle_core.h"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
 #include "tkc/core/analysis_context.h"
 #include "tkc/graph/delta_csr.h"
 #include "tkc/graph/triangle.h"
+#include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
+#include "tkc/obs/perf_counters.h"
+#include "tkc/obs/timeline.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/check.h"
+#include "tkc/util/parallel.h"
 
 #if TKC_CHECK_LEVEL >= 2
 #include "tkc/verify/certificate.h"
@@ -19,146 +26,235 @@ namespace tkc {
 
 namespace {
 
-// Bucket queue over live edges keyed by their current κ̃ (remaining
-// support). Mirrors the Batagelj–Zaversnik structure: `order_` holds the
-// edges sorted by key, `bucket_[d]` is the index in `order_` of the first
-// edge with key d, and a decrement is an O(1) swap-to-bucket-front.
-class EdgeBucketQueue {
- public:
-  EdgeBucketQueue(const std::vector<EdgeId>& live,
-                  const std::vector<uint32_t>& key, size_t edge_capacity) {
-    uint32_t max_key = 0;
-    for (EdgeId e : live) max_key = std::max(max_key, key[e]);
-    bucket_.assign(max_key + 2, 0);
-    for (EdgeId e : live) ++bucket_[key[e] + 1];
-    for (size_t d = 1; d < bucket_.size(); ++d) bucket_[d] += bucket_[d - 1];
-    order_.resize(live.size());
-    position_.assign(edge_capacity, 0);
-    std::vector<uint32_t> cursor(bucket_.begin(), bucket_.end() - 1);
-    for (EdgeId e : live) {
-      position_[e] = cursor[key[e]];
-      order_[position_[e]] = e;
-      ++cursor[key[e]];
-    }
-    bucket_.pop_back();  // keep bucket_[d] = start index of key d
-  }
-
-  EdgeId At(size_t i) const { return order_[i]; }
-  size_t Size() const { return order_.size(); }
-
-  // Moves `e` from key `d` to key `d-1`. Only valid while no edge with key
-  // < d-1 remains unprocessed beyond index `processed_upto`.
-  void Decrement(EdgeId e, uint32_t d) {
-    uint32_t pe = position_[e];
-    uint32_t pf = bucket_[d];
-    EdgeId f = order_[pf];
-    if (e != f) {
-      std::swap(order_[pe], order_[pf]);
-      position_[e] = pf;
-      position_[f] = pe;
-    }
-    ++bucket_[d];
-  }
-
- private:
-  std::vector<EdgeId> order_;
-  std::vector<uint32_t> position_;
-  std::vector<uint32_t> bucket_;
-};
-
 // Per-edge lists of the two partner edges of each incident triangle, the
 // kStoreTriangles representation.
 using StoredTriangleLists =
     std::vector<std::vector<std::pair<EdgeId, EdgeId>>>;
 
-// Steps 7-18 of Algorithm 1, shared by every entry point: bucket-sorts the
-// live edges by the initial κ̃ in `support` and peels. `support` is consumed
-// (lowered in place); `stored` is only read in kStoreTriangles mode.
-template <typename GraphT>
-void PeelCore(const GraphT& g, TriangleStorageMode mode,
-              const std::vector<EdgeId>& live,
-              std::vector<uint32_t>& support,
-              const StoredTriangleLists& stored,
-              TriangleCoreResult& result) {
+// Edge lifecycle within the round loop. `state` is written only between
+// rounds, and the pool's fork/join barriers order those writes before the
+// next round's reads — workers never mutate it mid-round, which keeps the
+// round processing TSan-clean without atomics on the state array.
+enum : uint8_t {
+  kAlive = 0,     // not yet reached the current level
+  kFrontier = 1,  // peeling in the round being processed
+  kPeeled = 2,    // κ assigned in an earlier round/level
+};
+
+// Atomically lowers support[target] by one, clamped at the current level k
+// (an edge that reached k peels at k — further losses cannot lower κ). The
+// successful k+1 → k transition is unique per edge, so pushing to the
+// caller's next-frontier buffer exactly there inserts each edge exactly
+// once, with no revisit flag needed.
+uint64_t Decrement(std::atomic<uint32_t>* support, EdgeId target, uint32_t k,
+                   std::vector<EdgeId>& next) {
+  uint32_t cur = support[target].load(std::memory_order_relaxed);
+  while (cur > k) {
+    if (support[target].compare_exchange_weak(cur, cur - 1,
+                                              std::memory_order_relaxed)) {
+      if (cur == k + 1) next.push_back(target);
+      return 1;
+    }
+  }
+  return 0;
+}
+
+// Steps 7-18 of Algorithm 1, the one peel behind every entry point, in the
+// round-synchronous form of the PKT scheme: levels k ascend, and within a
+// level the frontier — unpeeled edges whose κ̃ has reached k — peels in
+// rounds until the level drains. κ̃ starts at `initial_support`;
+// `triangles_on(e, fn)` calls fn(e1, e2) with the two partner edges of every
+// triangle on e, whether recomputed or stored. Rounds of at least
+// kSerialRoundCutoff edges are split over `threads` workers; the result is
+// the same for every thread count and every triangle source.
+template <typename GraphT, typename TrianglesOn>
+void PeelRoundSynchronous(const GraphT& g,
+                          const std::vector<uint32_t>& initial_support,
+                          int threads, const TrianglesOn& triangles_on,
+                          TriangleCoreResult& result) {
+  TKC_SPAN_PERF("peel");
   const size_t cap = g.EdgeCapacity();
-  result.peel_sequence.reserve(live.size());
+  result.kappa.assign(cap, 0);
+  result.order.assign(cap, kInvalidOrder);
 
-  // Step 7: bucket sort edges by κ̃.
-  std::vector<bool> processed(cap, false);
-  EdgeBucketQueue queue = [&] {
-    TKC_SPAN("bucket_init");
-    return EdgeBucketQueue(live, support, cap);
-  }();
+  // κ̃ lives in an atomic array for the CAS decrements; dead edge ids keep
+  // state kPeeled so no rule ever touches them. This array and the
+  // per-worker `buffers` below are the round loop's only cross-thread
+  // state, and their contract is atomic-only / owner-only rather than
+  // lock-based (see docs/static_analysis.md):
+  //  * support[] is touched mid-round exclusively through the relaxed CAS
+  //    in Decrement — never a plain read-modify-write;
+  //  * buffers[w] is appended to only by worker w (each push guarded by
+  //    the unique k+1 -> k CAS transition), and drained by the coordinator
+  //    strictly between rounds, after the pool's fork/join barrier.
+  auto support = std::make_unique<std::atomic<uint32_t>[]>(cap);
+  std::vector<uint8_t> state(cap, kPeeled);
+  // Unpeeled edges, ascending; compacted once per level so later levels
+  // scan only what is left instead of the whole edge-id space.
+  std::vector<EdgeId> pending;
+  for (EdgeId e = 0; e < cap; ++e) {
+    support[e].store(initial_support[e], std::memory_order_relaxed);
+    if (g.IsEdgeAlive(e)) {
+      state[e] = kAlive;
+      pending.push_back(e);
+    }
+  }
+  size_t remaining = pending.size();
+  result.peel_sequence.reserve(remaining);
 
-  // Steps 8-18: peel in increasing κ̃ order.
-  std::vector<uint64_t> peeled_per_level;
+  auto& registry = obs::MetricsRegistry::Global();
+  auto& rounds_hist = registry.GetHistogram("peel.rounds");
+  auto& frontier_hist = registry.GetHistogram("peel.frontier_edges");
+
+  const size_t workers = static_cast<size_t>(std::max(threads, 1));
+  std::vector<std::vector<EdgeId>> buffers(workers);
+  std::vector<EdgeId> frontier;
+  uint32_t next_order = 0;
   uint64_t relaxations = 0;
-  {
-    TKC_SPAN("peel");
-    for (size_t i = 0; i < queue.Size(); ++i) {
-      const EdgeId et = queue.At(i);
-      const uint32_t k = support[et];
-      result.kappa[et] = k;
-      result.max_kappa = std::max(result.max_kappa, k);
-      result.order[et] = static_cast<uint32_t>(i);
-      result.peel_sequence.push_back(et);
-      processed[et] = true;
-      if (peeled_per_level.size() <= k) peeled_per_level.resize(k + 1, 0);
-      ++peeled_per_level[k];
 
-      // For each *unprocessed* triangle T on et, lower the κ̃ of T's other
-      // edges that still exceed κ(et) (steps 10-17). A triangle is
-      // processed iff any of its edges is processed.
-      auto relax = [&](EdgeId e1, EdgeId e2) {
-        if (processed[e1] || processed[e2]) return;
-        if (support[e1] > k) {
-          queue.Decrement(e1, support[e1]);
-          --support[e1];
-          ++relaxations;
-        }
-        if (support[e2] > k) {
-          queue.Decrement(e2, support[e2]);
-          --support[e2];
-          ++relaxations;
-        }
-      };
-      if (mode == TriangleStorageMode::kStoreTriangles) {
-        for (const auto& [e1, e2] : stored[et]) relax(e1, e2);
-      } else {
-        Edge edge = g.GetEdge(et);
-        IntersectNeighbors(g, edge.u, edge.v,
-                           [&](VertexId, EdgeId e1, EdgeId e2) {
-                             relax(e1, e2);
-                           });
+  // Dispatching the pool for a handful of edges costs more than the round;
+  // below this frontier size the round runs inline on the calling thread.
+  constexpr size_t kSerialRoundCutoff = 2048;
+
+  while (remaining > 0) {
+    // Level skip: compact out the edges the last level peeled and find the
+    // smallest remaining support — every clamp so far was at a lower
+    // floor, so no unpeeled edge sits below it.
+    size_t kept = 0;
+    uint32_t k = std::numeric_limits<uint32_t>::max();
+    for (EdgeId e : pending) {
+      if (state[e] == kPeeled) continue;
+      pending[kept++] = e;
+      k = std::min(k, support[e].load(std::memory_order_relaxed));
+    }
+    pending.resize(kept);
+    result.max_kappa = k;
+
+    // Initial frontier of level k (ascending, since pending is).
+    frontier.clear();
+    for (EdgeId e : pending) {
+      if (support[e].load(std::memory_order_relaxed) <= k) {
+        frontier.push_back(e);
       }
     }
-    TKC_SPAN_COUNTER("edges_peeled", live.size());
-    TKC_SPAN_COUNTER("support_relaxations", relaxations);
+
+    uint64_t rounds = 0;
+    uint64_t level_edges = 0;
+    while (!frontier.empty()) {
+      ++rounds;
+      // Coordinator-side timeline slice for the whole round; worker-side
+      // "peel.chunk" slices below nest visually under it in the trace.
+      obs::TimelineScope round_scope("peel.round");
+      round_scope.AddArg("level", k);
+      round_scope.AddArg("round", rounds);
+      round_scope.AddArg("frontier", frontier.size());
+      frontier_hist.Observe(frontier.size());
+      for (EdgeId e : frontier) state[e] = kFrontier;
+
+      // One round: every frontier edge scans its triangles. A triangle
+      // with a peeled partner was already settled; with both partners in
+      // this frontier it dies with no survivor to relax; with exactly one
+      // partner in the frontier, the lower-id frontier edge relaxes the
+      // survivor (the other would double-count it); with no partner in the
+      // frontier, the peeling edge relaxes both.
+      std::vector<uint64_t> worker_relax(workers, 0);
+      const int round_threads =
+          frontier.size() < kSerialRoundCutoff ? 1 : threads;
+      ParallelFor(round_threads, frontier.size(),
+                  [&](int worker, size_t begin, size_t end) {
+        obs::TimelineScope chunk_scope("peel.chunk");
+        chunk_scope.AddArg("level", k);
+        chunk_scope.AddArg("round", rounds);
+        chunk_scope.AddArg("edges", end - begin);
+        auto& next = buffers[static_cast<size_t>(worker)];
+        uint64_t& relax = worker_relax[static_cast<size_t>(worker)];
+        for (size_t i = begin; i < end; ++i) {
+          const EdgeId e = frontier[i];
+          triangles_on(e, [&](EdgeId p1, EdgeId p2) {
+            const uint8_t s1 = state[p1];
+            const uint8_t s2 = state[p2];
+            if (s1 == kPeeled || s2 == kPeeled) return;
+            if (s1 == kFrontier && s2 == kFrontier) return;
+            if (s1 == kFrontier) {
+              if (e < p1) relax += Decrement(support.get(), p2, k, next);
+            } else if (s2 == kFrontier) {
+              if (e < p2) relax += Decrement(support.get(), p1, k, next);
+            } else {
+              relax += Decrement(support.get(), p1, k, next);
+              relax += Decrement(support.get(), p2, k, next);
+            }
+          });
+        }
+      });
+      for (uint64_t r : worker_relax) relaxations += r;
+
+      // Finalize the round (frontier is id-ascending, so order and
+      // peel_sequence are identical for every thread count).
+      for (EdgeId e : frontier) {
+        state[e] = kPeeled;
+        result.kappa[e] = k;
+        result.order[e] = next_order++;
+        result.peel_sequence.push_back(e);
+      }
+      remaining -= frontier.size();
+      level_edges += frontier.size();
+
+      frontier.clear();
+      for (auto& buf : buffers) {
+        frontier.insert(frontier.end(), buf.begin(), buf.end());
+        buf.clear();
+      }
+      std::sort(frontier.begin(), frontier.end());
+    }
+    rounds_hist.Observe(rounds);
+    registry.GetCounter("core.peel.level." + std::to_string(k))
+        .Add(level_edges);
   }
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("core.peel.edges_peeled").Add(live.size());
+
+  TKC_SPAN_COUNTER("edges_peeled", result.peel_sequence.size());
+  TKC_SPAN_COUNTER("support_relaxations", relaxations);
+  registry.GetCounter("core.peel.edges_peeled")
+      .Add(result.peel_sequence.size());
   registry.GetCounter("core.peel.support_relaxations").Add(relaxations);
   registry.GetGauge("core.peel.max_kappa").Set(result.max_kappa);
-  for (size_t k = 0; k < peeled_per_level.size(); ++k) {
-    if (peeled_per_level[k] == 0) continue;
-    registry.GetCounter("core.peel.level." + std::to_string(k))
-        .Add(peeled_per_level[k]);
+}
+
+// Runs the peel over the triangle source `mode` selects: the partner
+// lists in `stored`, or a fresh adjacency intersection per peeled edge.
+template <typename GraphT>
+void Peel(const GraphT& g, TriangleStorageMode mode,
+          const std::vector<uint32_t>& support,
+          const StoredTriangleLists& stored, int threads,
+          TriangleCoreResult& result) {
+  if (mode == TriangleStorageMode::kStoreTriangles) {
+    PeelRoundSynchronous(
+        g, support, threads,
+        [&](EdgeId e, const auto& fn) {
+          for (const auto& [e1, e2] : stored[e]) fn(e1, e2);
+        },
+        result);
+  } else {
+    PeelRoundSynchronous(
+        g, support, threads,
+        [&](EdgeId e, const auto& fn) {
+          const Edge edge = g.GetEdge(e);
+          IntersectNeighbors(g, edge.u, edge.v,
+                             [&](VertexId, EdgeId e1, EdgeId e2) {
+                               fn(e1, e2);
+                             });
+        },
+        result);
   }
 }
 
 // Full Algorithm 1 over a self-contained graph: count supports inline
-// (steps 1-5), then peel.
+// (steps 1-5), then peel on the calling thread.
 template <typename GraphT>
 TriangleCoreResult PeelTriangleCores(const GraphT& g,
                                      TriangleStorageMode mode) {
-  TKC_SPAN("core.decompose");
+  TKC_SPAN_MEM("core.decompose");
   const size_t cap = g.EdgeCapacity();
   TriangleCoreResult result;
-  result.kappa.assign(cap, 0);
-  result.order.assign(cap, kInvalidOrder);
-
-  std::vector<EdgeId> live;
-  g.ForEachEdge([&](EdgeId e, const Edge&) { live.push_back(e); });
 
   // Steps 1-5: κ̃(e) = number of triangles on e (the upper bound), each
   // triangle discovered once at its lexicographically smallest edge.
@@ -193,7 +289,7 @@ TriangleCoreResult PeelTriangleCores(const GraphT& g,
     TKC_SPAN_COUNTER("triangles_found", result.triangle_count);
   }
 
-  PeelCore(g, mode, live, support, stored, result);
+  Peel(g, mode, support, stored, /*threads=*/1, result);
   return result;
 }
 
@@ -228,27 +324,18 @@ TriangleCoreResult ComputeTriangleCores(const DeltaCsr& g,
 
 TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx,
                                         TriangleStorageMode mode) {
-  TKC_SPAN("core.decompose");
+  TKC_SPAN_MEM("core.decompose");
   const CsrGraph& g = ctx.csr();
-  const size_t cap = g.EdgeCapacity();
   TriangleCoreResult result;
-  result.kappa.assign(cap, 0);
-  result.order.assign(cap, kInvalidOrder);
-
-  std::vector<EdgeId> live;
-  g.ForEachEdge([&](EdgeId e, const Edge&) { live.push_back(e); });
-
   // Initial κ̃ from the context's shared support cache (first use computes
   // it under a nested "support_count" span; later uses are free).
-  std::vector<uint32_t> support = ctx.Supports();
   result.triangle_count = ctx.TriangleCount();
 
-  // In store mode, replay the materialized triangle list into the same
-  // per-edge partner lists (and order) the inline pass would have built,
-  // so the peel visits triangles identically.
+  // In store mode, the per-edge partner lists come from the context's
+  // materialized triangle list.
   StoredTriangleLists stored;
   if (mode == TriangleStorageMode::kStoreTriangles) {
-    stored.resize(cap);
+    stored.resize(g.EdgeCapacity());
     for (const Triangle& t : ctx.Triangles()) {
       stored[t.ab].emplace_back(t.ac, t.bc);
       stored[t.ac].emplace_back(t.ab, t.bc);
@@ -256,7 +343,7 @@ TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx,
     }
   }
 
-  PeelCore(g, mode, live, support, stored, result);
+  Peel(g, mode, ctx.Supports(), stored, ctx.threads(), result);
   TKC_VERIFY_L2(verify::CheckOrDie(
       verify::CheckKappaCertificate(g, result.kappa),
       "ComputeTriangleCores(AnalysisContext)"));

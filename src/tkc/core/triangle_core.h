@@ -41,17 +41,23 @@ struct TriangleCoreResult {
   uint32_t CocliqueSize(EdgeId e) const { return kappa[e] + 2; }
 };
 
-/// Algorithm 1: computes κ(e) for every live edge of `g` by peeling edges in
-/// increasing order of their remaining triangle count (a bucket queue gives
-/// the paper's O(|E|) sort and O(1) reposition). Total cost is
-/// O(triangle-listing + |Tri|).
+/// Algorithm 1: computes κ(e) for every live edge of `g` with the
+/// round-synchronous peel: levels k ascend, and within a level every edge
+/// whose remaining triangle count has reached k peels in one round, the
+/// rounds repeating until the level drains. Total cost is
+/// O(triangle-listing + |Tri|) plus a sort of each round's frontier.
+///
+/// Every overload and both storage modes return the same result: κ, and
+/// the same `order`/`peel_sequence` (levels ascending, rounds in discovery
+/// order, edge ids ascending within a round), which is a valid peel order
+/// for Rule 1. This overload runs on the calling thread.
 TriangleCoreResult ComputeTriangleCores(
     const Graph& g,
     TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
 
 /// Same peel over a frozen CSR snapshot (identical EdgeIds, so the result
-/// is interchangeable with the dynamic-graph overload); the contiguous
-/// adjacency makes this the faster path for large static graphs.
+/// is interchangeable with the dynamic-graph overload), on the calling
+/// thread.
 TriangleCoreResult ComputeTriangleCores(
     const CsrGraph& g,
     TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
@@ -59,22 +65,23 @@ TriangleCoreResult ComputeTriangleCores(
 class DeltaCsr;
 
 /// Same peel over the engine's DeltaCsr overlay view (base CSR + pending
-/// edits); EdgeIds and κ values are interchangeable with the other
-/// overloads. This is the scratch-recompute reference the batched
-/// maintainer is differentially tested against, and the initializer the
-/// engine uses when adopting a view whose decomposition is unknown.
+/// edits), on the calling thread; EdgeIds and κ values are interchangeable
+/// with the other overloads. This is the scratch-recompute reference the
+/// batched maintainer is differentially tested against, and the initializer
+/// the engine uses when adopting a view whose decomposition is unknown.
 TriangleCoreResult ComputeTriangleCores(
     const DeltaCsr& g,
     TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
 
 class AnalysisContext;
 
-/// Same peel over a shared AnalysisContext: the initial κ̃ comes from the
-/// context's cached support array (computed once per context by the
-/// parallel kernel) and, in kStoreTriangles mode, the triangle lists come
-/// from the context's materialized triangles — so repeated decompositions
-/// and other consumers never recount supports. Results are bit-for-bit
-/// identical to both other overloads.
+/// Same peel over a shared AnalysisContext, split over ctx.threads()
+/// workers: the initial κ̃ comes from the context's cached support array
+/// (computed once per context by the parallel kernel) and, in
+/// kStoreTriangles mode, the triangle lists come from the context's
+/// materialized triangles — so repeated decompositions and other consumers
+/// never recount supports. Results are bit-for-bit identical to the other
+/// overloads at every thread count.
 TriangleCoreResult ComputeTriangleCores(
     const AnalysisContext& ctx,
     TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);

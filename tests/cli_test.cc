@@ -153,6 +153,83 @@ TEST_F(CliTest, DecomposeMetricsOut) {
   EXPECT_NE(std::find(phases.begin(), phases.end(), "peel"), phases.end());
 }
 
+// The name tree of a metrics artifact's phase trace, one line per span,
+// indented by depth.
+void SpanTree(const obs::JsonValue& span, int depth, std::string* tree) {
+  tree->append(static_cast<size_t>(depth) * 2, ' ');
+  *tree += span.Find("name")->Str() + '\n';
+  const obs::JsonValue* children = span.Find("children");
+  if (children == nullptr) return;
+  for (const obs::JsonValue& child : children->Items()) {
+    SpanTree(child, depth + 1, tree);
+  }
+}
+
+// Counter, gauge and histogram names plus the span-name tree: the metrics
+// schema of one run, without its values. The in-process registry keeps every
+// name it has seen at zero across resets, so a run's metrics are the names
+// it gave a nonzero value (a histogram: a nonzero count).
+std::string MetricsSchema(const obs::JsonValue& doc) {
+  std::string schema;
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    schema += std::string(kind) + ":";
+    for (const auto& [key, value] : doc.Find("metrics")->Find(kind)->Members()) {
+      const double v =
+          value.IsObject() ? value.Find("count")->Number() : value.Number();
+      if (v != 0) schema += " " + key;
+    }
+    schema += '\n';
+  }
+  for (const obs::JsonValue& top : doc.Find("trace")->Items()) {
+    SpanTree(top, 0, &schema);
+  }
+  return schema;
+}
+
+// stdout with the wall-time value of the footer's seconds= field dropped.
+std::string WithoutSeconds(const std::string& out) {
+  const size_t at = out.rfind(" seconds=");
+  return at == std::string::npos ? out : out.substr(0, at);
+}
+
+TEST_F(CliTest, DecomposeSchemaAndOutputIndependentOfThreads) {
+  const std::string figure2 = std::string(TKC_DATA_DIR) + "/figure2.txt";
+  for (const std::string mode : {"recompute", "store"}) {
+    std::string schema[2], out[2];
+    const int threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      SCOPED_TRACE("--mode=" + mode + " --threads=" +
+                   std::to_string(threads[i]));
+      const std::string metrics_path = TempPath("cli_schema.json");
+      ASSERT_EQ(RunTool({"decompose", figure2, "--mode=" + mode,
+                         "--threads=" + std::to_string(threads[i]),
+                         "--metrics-out=" + metrics_path},
+                        &out[i]),
+                0);
+      std::ifstream in(metrics_path);
+      std::stringstream buf;
+      buf << in.rdbuf();
+      auto doc = obs::JsonValue::Parse(buf.str());
+      ASSERT_TRUE(doc.has_value());
+      schema[i] = MetricsSchema(*doc);
+      // --mode is honoured at every thread count.
+      const obs::JsonValue* materializations =
+          doc->FindPath("metrics.counters")
+              ->Find("analysis.triangle_materializations");
+      const double materialized =
+          materializations == nullptr ? 0 : materializations->Number();
+      EXPECT_EQ(materialized, mode == "store" ? 1.0 : 0.0);
+    }
+    EXPECT_EQ(schema[0], schema[1]) << "--mode=" << mode;
+    EXPECT_EQ(WithoutSeconds(out[0]), WithoutSeconds(out[1]))
+        << "--mode=" << mode;
+    // Result writing is its own phase directly under the command span.
+    EXPECT_NE(schema[0].find("\ndecompose\n"), std::string::npos);
+    EXPECT_NE(schema[0].find("\n  cli.write_output\n"), std::string::npos)
+        << schema[0];
+  }
+}
+
 TEST_F(CliTest, LogLevelFlag) {
   std::string out, err;
   ASSERT_EQ(RunTool({"decompose", edges_path_, "--log-level=info"}, &out,

@@ -22,7 +22,6 @@
 #include "tkc/io/parallel_ingest.h"
 #include "tkc/core/dynamic_core.h"
 #include "tkc/core/ordered_core.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/delta_csr.h"
 #include "tkc/graph/intersect_simd.h"
@@ -175,21 +174,18 @@ TEST(FuzzTest, RebuildEquivalenceAfterHeavyChurn) {
   });
 }
 
-// --- Differential driver: storage modes × threads × peel mode ----------
-
-enum class PeelMode { kSerial, kParallel };
+// --- Differential driver: storage modes × threads ----------------------
 
 class DifferentialFuzzTest
-    : public ::testing::TestWithParam<
-          std::tuple<TriangleStorageMode, int, PeelMode>> {};
+    : public ::testing::TestWithParam<std::tuple<TriangleStorageMode, int>> {
+};
 
 TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
-  const auto [mode, threads, peel] = GetParam();
+  const auto [mode, threads] = GetParam();
   // Seed folds in the parameters so each configuration walks a different
   // trajectory while staying reproducible.
   Rng rng(1000003 * (mode == TriangleStorageMode::kStoreTriangles ? 1 : 2) +
-          static_cast<uint64_t>(threads) +
-          (peel == PeelMode::kParallel ? 31 : 0));
+          static_cast<uint64_t>(threads));
   Graph base = PowerLawCluster(90, 3, 0.55, rng);
   DynamicTriangleCore dyn(base);
 
@@ -208,11 +204,9 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
     if (step % kCheckEvery != 0 && step != kSteps) continue;
 
     // Oracle 1: Algorithm-1 recompute through the parallel CSR read path
-    // in the parameterized storage mode / thread count / peel mode.
+    // in the parameterized storage mode / thread count.
     AnalysisContext ctx(dyn.graph(), threads);
-    TriangleCoreResult fresh = peel == PeelMode::kParallel
-                                   ? ComputeTriangleCoresParallel(ctx)
-                                   : ComputeTriangleCores(ctx, mode);
+    TriangleCoreResult fresh = ComputeTriangleCores(ctx, mode);
     dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
       ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e])
           << "step " << step << " edge (" << edge.u << "," << edge.v << ")";
@@ -228,12 +222,11 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StorageModesThreadsAndPeel, DifferentialFuzzTest,
+    StorageModesAndThreads, DifferentialFuzzTest,
     ::testing::Combine(
         ::testing::Values(TriangleStorageMode::kStoreTriangles,
                           TriangleStorageMode::kRecomputeTriangles),
-        ::testing::Values(1, 4),
-        ::testing::Values(PeelMode::kSerial, PeelMode::kParallel)),
+        ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<DifferentialFuzzTest::ParamType>&
            info) {
       std::string name =
@@ -241,8 +234,6 @@ INSTANTIATE_TEST_SUITE_P(
               ? "store"
               : "recompute";
       name += "_t" + std::to_string(std::get<1>(info.param));
-      name += std::get<2>(info.param) == PeelMode::kParallel ? "_parpeel"
-                                                             : "_serialpeel";
       return name;
     });
 
@@ -302,13 +293,15 @@ TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
         << "step " << step;
 
     // Full decomposition with the kernel installed as the process default —
-    // serial and parallel peel both route through IntersectNeighbors.
+    // the context peel (at `threads`) and the Graph peel (inline support
+    // count, calling thread) both route through IntersectNeighbors.
     ScopedDefaultKernel scoped(kernel);
     AnalysisContext ctx(g, threads);
-    TriangleCoreResult serial = ComputeTriangleCores(ctx);
-    TriangleCoreResult parallel = ComputeTriangleCoresParallel(ctx);
-    ASSERT_EQ(serial.kappa, parallel.kappa) << "step " << step;
-    verify::VerifyReport cert = verify::CheckKappaCertificate(g, serial.kappa);
+    TriangleCoreResult from_ctx = ComputeTriangleCores(ctx);
+    TriangleCoreResult from_graph = ComputeTriangleCores(g);
+    ASSERT_EQ(from_ctx.kappa, from_graph.kappa) << "step " << step;
+    verify::VerifyReport cert =
+        verify::CheckKappaCertificate(g, from_ctx.kappa);
     ASSERT_TRUE(cert.AllPassed())
         << "step " << step << ": " << cert.FirstFailure()->name << " — "
         << cert.FirstFailure()->detail;

@@ -1,18 +1,20 @@
-// Round-synchronous parallel peel (ComputeTriangleCoresParallel) against
-// the serial Algorithm-1 peel on adversarial shapes: κ must be bit-identical
-// at every thread count, order/peel_sequence must be identical *across*
-// thread counts (the round structure is deterministic), and the returned
-// order must itself be a valid peel.
+// The round-synchronous peel behind every ComputeTriangleCores overload,
+// held to the definitional NaiveTriangleCores oracle and the
+// code-independent κ-certificate on adversarial shapes: κ must be exact at
+// every thread count and in both storage modes, and order/peel_sequence
+// must be identical across thread counts, modes and overloads (the round
+// structure is deterministic) and must themselves form a valid peel.
 
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "tkc/baselines/naive.h"
 #include "tkc/core/analysis_context.h"
-#include "tkc/core/parallel_peel.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/csr.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/util/random.h"
 #include "tkc/verify/certificate.h"
@@ -20,42 +22,59 @@
 namespace tkc {
 namespace {
 
-// κ from the parallel peel must equal the serial peel's for every thread
-// count, and the parallel result must be internally consistent.
-void ExpectMatchesSerial(const Graph& g, const char* where) {
-  const CsrGraph csr(g);
-  const TriangleCoreResult serial = ComputeTriangleCores(csr);
-  for (int threads : {1, 2, 4, 7}) {
-    const TriangleCoreResult par = ComputeTriangleCoresParallel(csr, threads);
-    ASSERT_EQ(par.kappa.size(), serial.kappa.size()) << where;
-    g.ForEachEdge([&](EdgeId e, const Edge& edge) {
-      ASSERT_EQ(par.kappa[e], serial.kappa[e])
-          << where << " threads=" << threads << " edge (" << edge.u << ","
-          << edge.v << ")";
-    });
-    EXPECT_EQ(par.max_kappa, serial.max_kappa) << where;
-    EXPECT_EQ(par.triangle_count, serial.triangle_count) << where;
-    EXPECT_EQ(par.peel_sequence.size(), g.NumEdges()) << where;
-    // order is the inverse of peel_sequence.
-    for (size_t i = 0; i < par.peel_sequence.size(); ++i) {
-      EXPECT_EQ(par.order[par.peel_sequence[i]], i) << where;
+constexpr TriangleStorageMode kModes[] = {
+    TriangleStorageMode::kRecomputeTriangles,
+    TriangleStorageMode::kStoreTriangles};
+
+// κ from the context overload must equal the naive oracle's for every
+// thread count and mode, and the result must be internally consistent.
+void ExpectMatchesOracle(const Graph& g, const char* where) {
+  const std::vector<uint32_t> oracle = NaiveTriangleCores(g);
+  for (TriangleStorageMode mode : kModes) {
+    for (int threads : {1, 2, 4, 7}) {
+      AnalysisContext ctx(g, threads);
+      const TriangleCoreResult r = ComputeTriangleCores(ctx, mode);
+      ASSERT_EQ(r.kappa.size(), g.EdgeCapacity()) << where;
+      uint32_t max_kappa = 0;
+      g.ForEachEdge([&](EdgeId e, const Edge& edge) {
+        ASSERT_EQ(r.kappa[e], oracle[e])
+            << where << " threads=" << threads << " edge (" << edge.u << ","
+            << edge.v << ")";
+        max_kappa = std::max(max_kappa, oracle[e]);
+      });
+      EXPECT_EQ(r.max_kappa, max_kappa) << where;
+      EXPECT_EQ(r.triangle_count, CountTriangles(g)) << where;
+      EXPECT_EQ(r.peel_sequence.size(), g.NumEdges()) << where;
+      // order is the inverse of peel_sequence.
+      for (size_t i = 0; i < r.peel_sequence.size(); ++i) {
+        EXPECT_EQ(r.order[r.peel_sequence[i]], i) << where;
+      }
+      // κ is non-decreasing along the peel sequence (levels ascend).
+      for (size_t i = 1; i < r.peel_sequence.size(); ++i) {
+        EXPECT_LE(r.kappa[r.peel_sequence[i - 1]],
+                  r.kappa[r.peel_sequence[i]])
+            << where;
+      }
+      verify::VerifyReport cert = verify::CheckKappaCertificate(g, r.kappa);
+      EXPECT_TRUE(cert.AllPassed())
+          << where << ": " << cert.FirstFailure()->name;
     }
-    // κ is non-decreasing along the peel sequence (levels ascend).
-    for (size_t i = 1; i < par.peel_sequence.size(); ++i) {
-      EXPECT_LE(par.kappa[par.peel_sequence[i - 1]],
-                par.kappa[par.peel_sequence[i]])
-          << where;
-    }
-    verify::VerifyReport cert = verify::CheckKappaCertificate(csr, par.kappa);
-    EXPECT_TRUE(cert.AllPassed())
-        << where << ": " << cert.FirstFailure()->name;
   }
+}
+
+void ExpectSameResult(const TriangleCoreResult& got,
+                      const TriangleCoreResult& want, const char* what) {
+  EXPECT_EQ(got.kappa, want.kappa) << what;
+  EXPECT_EQ(got.order, want.order) << what;
+  EXPECT_EQ(got.peel_sequence, want.peel_sequence) << what;
+  EXPECT_EQ(got.triangle_count, want.triangle_count) << what;
+  EXPECT_EQ(got.max_kappa, want.max_kappa) << what;
 }
 
 TEST(ParallelPeelTest, EmptyGraph) {
   Graph g(10);
-  ExpectMatchesSerial(g, "empty");
-  const TriangleCoreResult r = ComputeTriangleCoresParallel(CsrGraph(g), 4);
+  ExpectMatchesOracle(g, "empty");
+  const TriangleCoreResult r = ComputeTriangleCores(AnalysisContext(g, 4));
   EXPECT_EQ(r.max_kappa, 0u);
   EXPECT_TRUE(r.peel_sequence.empty());
 }
@@ -66,14 +85,14 @@ TEST(ParallelPeelTest, TriangleFreeGraph) {
   Graph g(12);
   for (VertexId v = 0; v < 12; ++v) g.AddEdge(v, (v + 1) % 12);
   for (VertexId v = 0; v < 6; ++v) g.AddEdge(v, v + 6);
-  ExpectMatchesSerial(g, "triangle_free");
+  ExpectMatchesOracle(g, "triangle_free");
 }
 
 TEST(ParallelPeelTest, SingleClique) {
   Graph g(9);
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6, 7, 8});
-  ExpectMatchesSerial(g, "clique");
-  const TriangleCoreResult r = ComputeTriangleCoresParallel(CsrGraph(g), 4);
+  ExpectMatchesOracle(g, "clique");
+  const TriangleCoreResult r = ComputeTriangleCores(AnalysisContext(g, 4));
   // K9: every edge lies on 7 triangles and peels together, κ = 7.
   g.ForEachEdge(
       [&](EdgeId e, const Edge&) { EXPECT_EQ(r.kappa[e], 7u); });
@@ -90,7 +109,7 @@ TEST(ParallelPeelTest, StarOfCliques) {
     for (int i = 0; i < size; ++i) members.push_back(next++);
     PlantClique(g, members);
   }
-  ExpectMatchesSerial(g, "star_of_cliques");
+  ExpectMatchesOracle(g, "star_of_cliques");
 }
 
 TEST(ParallelPeelTest, SkewedDegreeGraph) {
@@ -102,7 +121,7 @@ TEST(ParallelPeelTest, SkewedDegreeGraph) {
   for (VertexId v = 1; v < 120; ++v) {
     if (!g.HasEdge(0, v)) g.AddEdge(0, v);
   }
-  ExpectMatchesSerial(g, "skewed");
+  ExpectMatchesOracle(g, "skewed");
 }
 
 TEST(ParallelPeelTest, PowerLawChurnedGraph) {
@@ -112,19 +131,51 @@ TEST(ParallelPeelTest, PowerLawChurnedGraph) {
   Graph g = PowerLawCluster(200, 4, 0.5, rng);
   auto live = g.EdgeIds();
   for (size_t i = 0; i < live.size(); i += 7) g.RemoveEdgeById(live[i]);
-  ExpectMatchesSerial(g, "churned");
+  ExpectMatchesOracle(g, "churned");
 }
 
 TEST(ParallelPeelTest, OrderIsIdenticalAcrossThreadCounts) {
   Rng rng(777);
   const Graph g = PowerLawCluster(150, 4, 0.6, rng);
-  const CsrGraph csr(g);
-  const TriangleCoreResult base = ComputeTriangleCoresParallel(csr, 1);
+  const TriangleCoreResult base = ComputeTriangleCores(AnalysisContext(g, 1));
   for (int threads : {2, 3, 8}) {
-    const TriangleCoreResult r = ComputeTriangleCoresParallel(csr, threads);
+    const TriangleCoreResult r =
+        ComputeTriangleCores(AnalysisContext(g, threads));
     EXPECT_EQ(r.peel_sequence, base.peel_sequence) << threads << " threads";
     EXPECT_EQ(r.order, base.order) << threads << " threads";
     EXPECT_EQ(r.kappa, base.kappa) << threads << " threads";
+  }
+}
+
+TEST(ParallelPeelTest, AllOverloadsAgreeInBothModesAtEveryThreadCount) {
+  // Large enough that level 0 and the low levels have frontiers past the
+  // inline-round cutoff, so the 2- and 4-thread contexts really split
+  // rounds across workers; churned so dead edge ids are in play.
+  Rng rng(5150);
+  Graph g = PowerLawCluster(6000, 3, 0.3, rng);
+  auto live = g.EdgeIds();
+  for (size_t i = 0; i < live.size(); i += 11) g.RemoveEdgeById(live[i]);
+  auto& frontier = obs::MetricsRegistry::Global().GetHistogram(
+      "peel.frontier_edges");
+
+  const TriangleCoreResult want =
+      ComputeTriangleCores(g, TriangleStorageMode::kRecomputeTriangles);
+  EXPECT_GE(frontier.Max(), 2048u);
+  for (TriangleStorageMode mode : kModes) {
+    const bool store = mode == TriangleStorageMode::kStoreTriangles;
+    ExpectSameResult(ComputeTriangleCores(g, mode), want,
+                     store ? "Graph store" : "Graph recompute");
+    ExpectSameResult(ComputeTriangleCores(CsrGraph(g), mode), want,
+                     store ? "CsrGraph store" : "CsrGraph recompute");
+    ExpectSameResult(ComputeTriangleCores(DeltaCsr(g), mode), want,
+                     store ? "DeltaCsr store" : "DeltaCsr recompute");
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      ExpectSameResult(ComputeTriangleCores(AnalysisContext(g, threads), mode),
+                       want,
+                       store ? "AnalysisContext store"
+                             : "AnalysisContext recompute");
+    }
   }
 }
 
@@ -136,11 +187,12 @@ TEST(ParallelPeelTest, AnalysisContextOverloadUsesCachedSupports) {
       "analysis.support_computations");
   const uint64_t before = computations.Value();
   ctx.Supports();  // force the cache
-  const TriangleCoreResult par = ComputeTriangleCoresParallel(ctx);
-  const TriangleCoreResult serial = ComputeTriangleCores(ctx);
+  const TriangleCoreResult recompute = ComputeTriangleCores(ctx);
+  const TriangleCoreResult store =
+      ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
   EXPECT_EQ(computations.Value(), before + 1);  // computed exactly once
-  EXPECT_EQ(par.kappa, serial.kappa);
-  EXPECT_EQ(par.triangle_count, serial.triangle_count);
+  EXPECT_EQ(recompute.kappa, store.kappa);
+  EXPECT_EQ(recompute.triangle_count, store.triangle_count);
 }
 
 TEST(ParallelPeelTest, EmitsRoundAndFrontierHistograms) {
@@ -151,7 +203,7 @@ TEST(ParallelPeelTest, EmitsRoundAndFrontierHistograms) {
   const uint64_t frontier_before = frontier.Count();
   Graph g(6);
   PlantClique(g, {0, 1, 2, 3, 4, 5});
-  ComputeTriangleCoresParallel(CsrGraph(g), 2);
+  ComputeTriangleCores(g);
   // One level (κ = 4 everywhere) peeled in one round of 15 edges.
   EXPECT_EQ(rounds.Count(), rounds_before + 1);
   EXPECT_EQ(frontier.Count(), frontier_before + 1);

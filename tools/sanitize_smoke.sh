@@ -34,9 +34,9 @@ run_one() {
   echo "== $sanitizer: ctest =="
   (cd "$build_dir" && UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --output-on-failure)
-  echo "== $sanitizer: parallel peel CLI =="
-  # Drive the round-synchronous parallel peel through the CLI so the TSan
-  # leg exercises the concurrent frontier rounds (atomic decrements,
+  echo "== $sanitizer: peel CLI =="
+  # Drive the round-synchronous peel through the CLI at 4 workers so the
+  # TSan leg exercises the concurrent frontier rounds (atomic decrements,
   # per-thread next buffers) on a real generated graph, not just the unit
   # tests' small shapes.
   local smoke_dir
@@ -55,7 +55,15 @@ run_one() {
   # The trailing summary line embeds wall time; compare κ rows only.
   if ! diff <(grep -v '^#' "$smoke_dir/kappa_par.txt") \
             <(grep -v '^#' "$smoke_dir/kappa_ser.txt"); then
-    echo "!! parallel peel kappa differs from serial" >&2
+    echo "!! 4-thread peel kappa differs from 1 thread" >&2
+    exit 1
+  fi
+  # Store mode: the 4 workers read the shared stored partner lists at once.
+  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=4 \
+    --mode=store > "$smoke_dir/kappa_store.txt"
+  if ! diff <(grep -v '^#' "$smoke_dir/kappa_store.txt") \
+            <(grep -v '^#' "$smoke_dir/kappa_ser.txt"); then
+    echo "!! --mode=store 4-thread peel kappa differs from 1 thread" >&2
     exit 1
   fi
   echo "== $sanitizer: kernel + relabel CLI =="
