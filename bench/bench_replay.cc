@@ -72,8 +72,9 @@ int Run(int argc, char** argv) {
   ModeResult scratch;
   scratch.name = "scratch_recompute";
   {
+    const CsrGraph final_graph(shadow);
     Timer t;
-    TriangleCoreResult fresh = ComputeTriangleCores(shadow);
+    TriangleCoreResult fresh = ComputeTriangleCores(final_graph);
     scratch.seconds = t.Seconds();
     scratch.events_per_sec =
         scratch.seconds > 0 ? events.size() / scratch.seconds : 0;

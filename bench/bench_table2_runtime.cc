@@ -47,15 +47,15 @@ int Run(int argc, char** argv) {
     const Graph& g = ds.graph;
     const size_t edges = g.NumEdges();
 
+    AnalysisContext ctx(g, cfg.threads);
     Timer t;
-    TriangleCoreResult cores = ComputeTriangleCores(g);
+    TriangleCoreResult cores = ComputeTriangleCores(ctx.csr());
     double tkc_s = t.Seconds();
 
     // Phase split on the shared CSR read path: support pass in both
     // enumeration modes (full adjacency vs oriented out-lists), then the
     // peel alone — at 1 thread and at --threads — against each context's
     // pre-forced support cache.
-    AnalysisContext ctx(g, cfg.threads);
     AnalysisContext serial_ctx(ctx.csr_ptr(), /*threads=*/1);
     t.Restart();
     auto support_full = ComputeEdgeSupportsFullScan(ctx.csr());
@@ -113,7 +113,7 @@ int Run(int argc, char** argv) {
       opt.max_neighborhood = 96;
       opt.clique_node_budget = 20000;
       t.Restart();
-      CsvResult csv = ComputeCsv(g, opt);
+      CsvResult csv = ComputeCsv(ctx.csr(), opt);
       double s = t.Seconds();
       csv_s = Fmt(s);
       row.Set("csv_seconds", s);

@@ -62,7 +62,7 @@ int Run(int argc, char** argv) {
           RandomChurn(g, churn_each, churn_each, rng);
 
       // Incremental: apply each event through the updater.
-      DynamicTriangleCore dyn(g);
+      DynamicTriangleCore dyn{DeltaCsr(g)};
       Timer t;
       for (const EdgeEvent& ev : events) {
         if (ev.kind == EdgeEvent::Kind::kInsert) {
@@ -77,7 +77,7 @@ int Run(int argc, char** argv) {
 
       // Re-compute: one full peel of the final graph (the paper's
       // "Re-Compute" column = steps 8-18 of Algorithm 1 from scratch).
-      const Graph& final_graph = dyn.graph();
+      const DeltaCsr& final_graph = dyn.graph();
       t.Restart();
       TriangleCoreResult fresh = ComputeTriangleCores(final_graph);
       recompute_total += t.Seconds();

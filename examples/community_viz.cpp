@@ -33,16 +33,16 @@ int main(int argc, char** argv) {
   auto trio_plus = PlantRandomClique(g, 7, rng);
   std::printf("network: %u vertices, %zu edges, %llu triangles\n",
               g.NumVertices(), g.NumEdges(),
-              static_cast<unsigned long long>(CountTriangles(g)));
+              static_cast<unsigned long long>(CountTriangles(CsrGraph(g))));
 
   Timer t;
-  TriangleCoreResult cores = ComputeTriangleCores(g);
+  TriangleCoreResult cores = ComputeTriangleCores(CsrGraph(g));
   std::printf("Triangle K-Core decomposition: %.3fs, max kappa = %u\n\n",
               t.Seconds(), cores.max_kappa);
 
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = cores.kappa[e] + 2; });
-  DensityPlot plot = BuildDensityPlot(g, co);
+  DensityPlot plot = BuildDensityPlot(CsrGraph(g), co);
 
   AsciiChartOptions chart;
   chart.height = 14;
@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
       }
     });
     if (seed_edge == kInvalidEdge) continue;
-    CoreSubgraph core = MaxTriangleCoreOf(g, cores.kappa, seed_edge);
-    bool valid = VerifyTriangleKCore(g, core.edges, core.k);
-    bool clique = IsClique(g, core.vertices);
+    CoreSubgraph core = MaxTriangleCoreOf(CsrGraph(g), cores.kappa, seed_edge);
+    bool valid = VerifyTriangleKCore(CsrGraph(g), core.edges, core.k);
+    bool clique = IsClique(CsrGraph(g), core.vertices);
     std::printf("  #%zu: height %u, %zu vertices — certified k=%u core%s%s\n",
                 i + 1, p.value, core.vertices.size(), core.k,
                 valid ? "" : " (INVALID!)",

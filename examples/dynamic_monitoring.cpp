@@ -28,19 +28,18 @@ int main(int argc, char** argv) {
   std::printf("monitoring network: %u vertices, %zu edges\n\n",
               current.NumVertices(), current.NumEdges());
 
-  DynamicTriangleCore dyn(current);
+  DynamicTriangleCore dyn{DeltaCsr(current)};
   for (int step = 1; step <= steps; ++step) {
     // Evolve: organic growth plus, on some steps, a planted incident.
-    Graph before = dyn.graph();
-    SnapshotPair pair = GrowSnapshot(before, 40, 2, rng);
+    SnapshotPair pair = GrowSnapshot(current, 40, 2, rng);
     if (step % 3 == 0) {
       // Incident: a brand-new collaboration ring between old strangers.
       std::vector<VertexId> ring;
       while (ring.size() < 5) {
         VertexId v = static_cast<VertexId>(
-            rng.NextBounded(before.NumVertices()));
+            rng.NextBounded(current.NumVertices()));
         bool fresh = true;
-        for (VertexId r : ring) fresh = fresh && !before.HasEdge(r, v);
+        for (VertexId r : ring) fresh = fresh && !current.HasEdge(r, v);
         if (fresh && std::find(ring.begin(), ring.end(), v) == ring.end()) {
           ring.push_back(v);
         }
@@ -67,8 +66,9 @@ int main(int argc, char** argv) {
     EventDetectorOptions opt;
     opt.min_clique_size = 5;
     std::vector<CliqueEvent> events =
-        DetectEvents(before, dyn.graph(), opt);
+        DetectEvents(current, pair.new_graph, opt);
     double detect_s = t.Seconds();
+    current = std::move(pair.new_graph);
 
     std::printf("step %d: +%zu edges (update %.4fs, screen %.3fs)\n", step,
                 pair.added.size(), update_s, detect_s);

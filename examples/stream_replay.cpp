@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   std::printf("snapshots: %zu, base edges: %zu\n\n", stream->NumSnapshots(),
               stream->base.NumEdges());
 
-  DynamicTriangleCore dyn(stream->base);
+  DynamicTriangleCore dyn{DeltaCsr(stream->base)};
   for (size_t step = 0; step < stream->deltas.size(); ++step) {
-    Graph before = dyn.graph();
+    Graph before = stream->Materialize(step);
     const auto& delta = stream->deltas[step];
     UpdateStats stats = dyn.ApplyEvents(delta);
     std::printf("snapshot %zu -> %zu: %zu events, touched %llu edges, "

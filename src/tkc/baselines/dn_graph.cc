@@ -112,7 +112,8 @@ DnGraphResult BiTriDnImpl(const GraphT& g, uint32_t max_iterations,
 }  // namespace
 
 DnGraphResult TriDn(const Graph& g, uint32_t max_iterations) {
-  return TriDnImpl(g, max_iterations, ComputeEdgeSupports(g), /*threads=*/1);
+  return TriDnImpl(g, max_iterations, ComputeEdgeSupports(CsrGraph(g)),
+                   /*threads=*/1);
 }
 
 DnGraphResult TriDn(const AnalysisContext& ctx, uint32_t max_iterations) {
@@ -120,7 +121,7 @@ DnGraphResult TriDn(const AnalysisContext& ctx, uint32_t max_iterations) {
 }
 
 DnGraphResult BiTriDn(const Graph& g, uint32_t max_iterations) {
-  return BiTriDnImpl(g, max_iterations, ComputeEdgeSupports(g),
+  return BiTriDnImpl(g, max_iterations, ComputeEdgeSupports(CsrGraph(g)),
                      /*threads=*/1);
 }
 
@@ -133,8 +134,7 @@ namespace {
 
 // Requirement (1) of the DN-Graph definition restricted to `members`:
 // every connected pair inside shares >= lambda neighbors inside.
-template <typename GraphT>
-bool SatisfiesDensity(const GraphT& g, const std::vector<bool>& inside,
+bool SatisfiesDensity(const CsrGraph& g, const std::vector<bool>& inside,
                       const std::vector<VertexId>& members,
                       uint32_t lambda) {
   for (VertexId u : members) {
@@ -151,9 +151,10 @@ bool SatisfiesDensity(const GraphT& g, const std::vector<bool>& inside,
   return true;
 }
 
-template <typename GraphT>
-std::vector<DnGraphCandidate> ExtractDnGraphsImpl(
-    const GraphT& g, const std::vector<uint32_t>& lambda,
+}  // namespace
+
+std::vector<DnGraphCandidate> ExtractDnGraphs(
+    const CsrGraph& g, const std::vector<uint32_t>& lambda,
     uint32_t min_lambda) {
   std::vector<DnGraphCandidate> candidates;
   std::vector<bool> inside(g.NumVertices(), false);
@@ -210,42 +211,14 @@ std::vector<DnGraphCandidate> ExtractDnGraphsImpl(
   return candidates;
 }
 
-template <typename GraphT>
-std::vector<bool> DnGraphCoverageImpl(const GraphT& g,
-                                      const std::vector<uint32_t>& lambda,
-                                      uint32_t min_lambda) {
-  std::vector<bool> covered(g.NumVertices(), false);
-  for (const DnGraphCandidate& cand :
-       ExtractDnGraphsImpl(g, lambda, min_lambda)) {
-    for (VertexId v : cand.vertices) covered[v] = true;
-  }
-  return covered;
-}
-
-}  // namespace
-
-std::vector<DnGraphCandidate> ExtractDnGraphs(
-    const Graph& g, const std::vector<uint32_t>& lambda,
-    uint32_t min_lambda) {
-  return ExtractDnGraphsImpl(g, lambda, min_lambda);
-}
-
-std::vector<DnGraphCandidate> ExtractDnGraphs(
-    const CsrGraph& g, const std::vector<uint32_t>& lambda,
-    uint32_t min_lambda) {
-  return ExtractDnGraphsImpl(g, lambda, min_lambda);
-}
-
-std::vector<bool> DnGraphCoverage(const Graph& g,
-                                  const std::vector<uint32_t>& lambda,
-                                  uint32_t min_lambda) {
-  return DnGraphCoverageImpl(g, lambda, min_lambda);
-}
-
 std::vector<bool> DnGraphCoverage(const CsrGraph& g,
                                   const std::vector<uint32_t>& lambda,
                                   uint32_t min_lambda) {
-  return DnGraphCoverageImpl(g, lambda, min_lambda);
+  std::vector<bool> covered(g.NumVertices(), false);
+  for (const DnGraphCandidate& cand : ExtractDnGraphs(g, lambda, min_lambda)) {
+    for (VertexId v : cand.vertices) covered[v] = true;
+  }
+  return covered;
 }
 
 }  // namespace tkc

@@ -65,17 +65,11 @@ struct DnGraphCandidate {
 /// vertex incident only to λ = 0 edges belongs to no DN-Graph (Figure 5's
 /// vertex A).
 std::vector<DnGraphCandidate> ExtractDnGraphs(
-    const Graph& g, const std::vector<uint32_t>& lambda,
-    uint32_t min_lambda = 1);
-std::vector<DnGraphCandidate> ExtractDnGraphs(
     const CsrGraph& g, const std::vector<uint32_t>& lambda,
     uint32_t min_lambda = 1);
 
 /// Per-vertex coverage: true iff the vertex appears in some candidate with
 /// λ >= min_lambda.
-std::vector<bool> DnGraphCoverage(const Graph& g,
-                                  const std::vector<uint32_t>& lambda,
-                                  uint32_t min_lambda = 1);
 std::vector<bool> DnGraphCoverage(const CsrGraph& g,
                                   const std::vector<uint32_t>& lambda,
                                   uint32_t min_lambda = 1);

@@ -141,7 +141,8 @@ struct GraphSource {
 // Commands whose output or events are keyed by original vertex ids pass
 // `reject_relabeled` (a degree-relabeled snapshot would permute their
 // ids); `thaw_graph` additionally materializes a mutable Graph with
-// preserved EdgeIds for commands that mutate.
+// preserved EdgeIds for `tkc verify`, whose Graph audit and ordered replay
+// need one.
 std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
                                            const std::string& path,
                                            std::ostream& err,
@@ -406,15 +407,17 @@ obs::JsonValue UpdateStatsJson(const UpdateStats& s) {
 std::optional<obs::JsonValue> g_update_stats_json;  // NOLINT
 
 int CmdUpdate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  // Events arrive in original vertex ids and the maintainer mutates, so a
-  // relabeled cache is rejected and a hit is thawed back into a Graph.
+  // Events arrive in original vertex ids, so a relabeled cache is
+  // rejected; a frozen snapshot (cache hit or freshly written cache) seeds
+  // the maintainer's overlay zero-copy.
   auto src = LoadGraphSource(args, args.positional[1], err,
-                             /*reject_relabeled=*/true, /*thaw_graph=*/true,
+                             /*reject_relabeled=*/true, /*thaw_graph=*/false,
                              RelabelMode::kNone);
   if (!src) return 2;
   auto events = LoadEvents(args.positional[2], err, IngestThreads(args));
   if (!events) return 2;
-  DynamicTriangleCore dyn(*src->graph);
+  DynamicTriangleCore dyn(src->csr ? DeltaCsr(src->csr)
+                                   : DeltaCsr(*src->graph));
   Timer t;
   UpdateStats stats = dyn.ApplyEvents(*events);
   double update_s = t.Seconds();
@@ -687,7 +690,7 @@ int CmdTemplates(const ParsedArgs& args, std::ostream& out,
   }
   LabeledGraph lg = LabelFromGraphs(*old_g, *new_g);
   TemplateDetectionResult det = DetectTemplateCliques(lg, spec);
-  DensityPlot plot = BuildDensityPlot(lg.graph, det.co_clique_size,
+  DensityPlot plot = BuildDensityPlot(CsrGraph(lg.graph), det.co_clique_size,
                                       /*include_zero_vertices=*/false);
   auto plateaus = FindPlateaus(
       plot, static_cast<uint32_t>(args.FlagInt("min-size", 3)), 2);

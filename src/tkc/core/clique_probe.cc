@@ -7,7 +7,7 @@
 
 namespace tkc {
 
-std::vector<VertexId> CoreGuidedMaxClique(const Graph& g,
+std::vector<VertexId> CoreGuidedMaxClique(const CsrGraph& g,
                                           uint64_t node_budget,
                                           CliqueProbeStats* stats) {
   CliqueProbeStats local;

@@ -29,7 +29,7 @@ struct CliqueProbeStats {
 /// `node_budget` caps each subproblem's branch-and-bound (0 = unlimited);
 /// a tripped budget clears stats->exact but the incumbent is still a valid
 /// clique.
-std::vector<VertexId> CoreGuidedMaxClique(const Graph& g,
+std::vector<VertexId> CoreGuidedMaxClique(const CsrGraph& g,
                                           uint64_t node_budget = 0,
                                           CliqueProbeStats* stats = nullptr);
 

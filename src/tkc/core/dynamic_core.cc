@@ -120,24 +120,21 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats) {
   return os << stats.ToString();
 }
 
-template <typename GraphT>
-DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(GraphT graph)
+DynamicTriangleCore::DynamicTriangleCore(DeltaCsr graph)
     : graph_(std::move(graph)) {
   TriangleCoreResult initial = ComputeTriangleCores(graph_);
   kappa_ = std::move(initial.kappa);
   GrowArrays();
 }
 
-template <typename GraphT>
-DynamicTriangleCoreT<GraphT>::DynamicTriangleCoreT(
-    GraphT graph, const TriangleCoreResult& initial)
+DynamicTriangleCore::DynamicTriangleCore(
+    DeltaCsr graph, const TriangleCoreResult& initial)
     : graph_(std::move(graph)), kappa_(initial.kappa) {
   TKC_CHECK(kappa_.size() == graph_.EdgeCapacity());
   GrowArrays();
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::GrowArrays() {
+void DynamicTriangleCore::GrowArrays() {
   const size_t cap = graph_.EdgeCapacity();
   if (kappa_.size() < cap) kappa_.resize(cap, 0);
   if (flag_.size() < cap) flag_.resize(cap, 0);
@@ -146,8 +143,7 @@ void DynamicTriangleCoreT<GraphT>::GrowArrays() {
   if (seed_flag_.size() < cap) seed_flag_.resize(cap, 0);
 }
 
-template <typename GraphT>
-uint32_t DynamicTriangleCoreT<GraphT>::InsertionBound(EdgeId e0) const {
+uint32_t DynamicTriangleCore::InsertionBound(EdgeId e0) const {
   // h-index over min(κ(e1), κ(e2)) of e0's triangles: the largest k such
   // that at least k triangles have partner-min >= k.
   std::vector<uint32_t> mins;
@@ -162,8 +158,7 @@ uint32_t DynamicTriangleCoreT<GraphT>::InsertionBound(EdgeId e0) const {
   return k1;
 }
 
-template <typename GraphT>
-EdgeId DynamicTriangleCoreT<GraphT>::InsertEdge(VertexId u, VertexId v) {
+EdgeId DynamicTriangleCore::InsertEdge(VertexId u, VertexId v) {
   bool inserted = false;
   EdgeId e0 = graph_.AddEdge(u, v, &inserted);
   if (!inserted) return e0;
@@ -206,8 +201,7 @@ EdgeId DynamicTriangleCoreT<GraphT>::InsertEdge(VertexId u, VertexId v) {
   return e0;
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::VerifyAfterUpdate(const char* where) {
+void DynamicTriangleCore::VerifyAfterUpdate(const char* where) {
 #if TKC_CHECK_LEVEL >= 2
   if (in_batch_) return;
   verify::CheckOrDie(verify::CheckKappaCertificate(graph_, kappa_), where);
@@ -216,8 +210,7 @@ void DynamicTriangleCoreT<GraphT>::VerifyAfterUpdate(const char* where) {
 #endif
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::ProcessInsertLevel(
+void DynamicTriangleCore::ProcessInsertLevel(
     EdgeId e0, uint32_t k, std::vector<EdgeId>* promotions) {
   // --- Region growth (Rule 0): edges with κ == k triangle-connected to e0
   // through triangles whose other two edges have κ >= k. Only candidates
@@ -293,8 +286,7 @@ void DynamicTriangleCoreT<GraphT>::ProcessInsertLevel(
   }
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::ProcessBatchInsertLevel(
+void DynamicTriangleCore::ProcessBatchInsertLevel(
     const std::vector<EdgeId>& seeds, uint32_t k,
     std::vector<EdgeId>* promotions) {
   // The multi-seed generalization of ProcessInsertLevel: one Rule-0 region
@@ -372,8 +364,7 @@ void DynamicTriangleCoreT<GraphT>::ProcessBatchInsertLevel(
   }
 }
 
-template <typename GraphT>
-BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
+BatchStats DynamicTriangleCore::ApplyBatch(
     std::span<const EdgeEvent> events) {
   TKC_SPAN("dyn.apply_batch");
   Timer latency;
@@ -520,8 +511,7 @@ BatchStats DynamicTriangleCoreT<GraphT>::ApplyBatch(
   return batch;
 }
 
-template <typename GraphT>
-UpdateStats DynamicTriangleCoreT<GraphT>::ApplyEvents(
+UpdateStats DynamicTriangleCore::ApplyEvents(
     const std::vector<EdgeEvent>& events) {
   TKC_SPAN("dyn.apply_events");
   UpdateStats batch;
@@ -542,8 +532,7 @@ UpdateStats DynamicTriangleCoreT<GraphT>::ApplyEvents(
   return batch;
 }
 
-template <typename GraphT>
-size_t DynamicTriangleCoreT<GraphT>::RemoveVertexEdges(VertexId v) {
+size_t DynamicTriangleCore::RemoveVertexEdges(VertexId v) {
   if (v >= graph_.NumVertices()) return 0;
   std::vector<EdgeId> incident;
   for (const Neighbor& nb : graph_.Neighbors(v)) incident.push_back(nb.edge);
@@ -556,22 +545,19 @@ size_t DynamicTriangleCoreT<GraphT>::RemoveVertexEdges(VertexId v) {
   return incident.size();
 }
 
-template <typename GraphT>
-bool DynamicTriangleCoreT<GraphT>::RemoveEdge(VertexId u, VertexId v) {
+bool DynamicTriangleCore::RemoveEdge(VertexId u, VertexId v) {
   EdgeId e0 = graph_.FindEdge(u, v);
   if (e0 == kInvalidEdge) return false;
   RemoveEdgeInternal(e0);
   return true;
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::RemoveEdgeById(EdgeId e0) {
+void DynamicTriangleCore::RemoveEdgeById(EdgeId e0) {
   TKC_CHECK(graph_.IsEdgeAlive(e0));
   RemoveEdgeInternal(e0);
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::RemoveEdgeInternal(EdgeId e0) {
+void DynamicTriangleCore::RemoveEdgeInternal(EdgeId e0) {
   TKC_SPAN("dyn.remove");
   Timer latency;
   last_stats_ = UpdateStats{};
@@ -608,8 +594,7 @@ void DynamicTriangleCoreT<GraphT>::RemoveEdgeInternal(EdgeId e0) {
   VerifyAfterUpdate("DynamicTriangleCore::RemoveEdge");
 }
 
-template <typename GraphT>
-void DynamicTriangleCoreT<GraphT>::PumpDemotions(std::vector<EdgeId>& queue) {
+void DynamicTriangleCore::PumpDemotions(std::vector<EdgeId>& queue) {
   // Asynchronous decreasing iteration: κ(f) <- h(f) where h(f) is the
   // largest k such that f keeps >= k triangles with partner-min >= k.
   // Starting from valid upper bounds this converges exactly to the
@@ -659,8 +644,5 @@ void DynamicTriangleCoreT<GraphT>::PumpDemotions(std::vector<EdgeId>& queue) {
     });
   }
 }
-
-template class DynamicTriangleCoreT<Graph>;
-template class DynamicTriangleCoreT<DeltaCsr>;
 
 }  // namespace tkc

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "tkc/core/triangle_core.h"
+#include "tkc/graph/delta_csr.h"
 #include "tkc/graph/edge_event.h"
-#include "tkc/graph/graph.h"
 
 namespace tkc {
 
@@ -49,9 +49,10 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 
 /// Incrementally maintained Triangle K-Core decomposition (the paper's
 /// Algorithm 2, with the appendix's Algorithms 5-7 realized as a local
-/// affected-region search + repeel), templated over the graph substrate:
-/// the legacy adjacency-list `Graph` or the engine's `DeltaCsr` overlay
-/// view (use the `DynamicTriangleCore` alias for the former).
+/// affected-region search + repeel) over the engine's `DeltaCsr` overlay
+/// view: a frozen CSR base plus copy-on-write edits. Build it from a
+/// `Graph` with `DynamicTriangleCore{DeltaCsr(g)}`; EdgeIds are the
+/// Graph's, and every insert allocates a fresh id.
 ///
 /// Semantics maintained as an invariant after every call: `kappa()[e]`
 /// equals the κ(e) that `ComputeTriangleCores(graph())` would produce — the
@@ -82,21 +83,20 @@ std::ostream& operator<<(std::ostream& os, const BatchStats& stats);
 /// share level-deduplicated region searches iterated to fixpoint. κ is a
 /// function of the final graph alone, so the result is identical to
 /// per-event application at any batch size.
-template <typename GraphT>
-class DynamicTriangleCoreT {
+class DynamicTriangleCore {
  public:
   /// Takes ownership of `graph` and runs Algorithm 1 once to initialize κ.
-  explicit DynamicTriangleCoreT(GraphT graph);
+  explicit DynamicTriangleCore(DeltaCsr graph);
 
   /// Starts from an already-computed decomposition (must match `graph`).
-  DynamicTriangleCoreT(GraphT graph, const TriangleCoreResult& initial);
+  DynamicTriangleCore(DeltaCsr graph, const TriangleCoreResult& initial);
 
-  const GraphT& graph() const { return graph_; }
+  const DeltaCsr& graph() const { return graph_; }
 
   /// Maintenance-only escape hatch for the owning engine (compaction needs
   /// to mutate the substrate without touching κ). Callers must preserve
   /// the topology–κ invariant.
-  GraphT& MutableGraphForMaintenance() { return graph_; }
+  DeltaCsr& MutableGraphForMaintenance() { return graph_; }
 
   /// κ per EdgeId; sized graph().EdgeCapacity(); dead ids hold 0.
   const std::vector<uint32_t>& kappa() const { return kappa_; }
@@ -158,7 +158,7 @@ class DynamicTriangleCoreT {
   // RemoveVertexEdges pay for one certificate per batch, not per event.
   void VerifyAfterUpdate(const char* where);
 
-  GraphT graph_;
+  DeltaCsr graph_;
   std::vector<uint32_t> kappa_;
   bool in_batch_ = false;
   // Scratch (lazily grown to EdgeCapacity, cleaned after every update):
@@ -171,11 +171,6 @@ class DynamicTriangleCoreT {
   UpdateStats last_stats_;
   UpdateStats total_stats_;
 };
-
-/// The legacy single-graph maintainer every existing call site uses.
-using DynamicTriangleCore = DynamicTriangleCoreT<Graph>;
-
-extern template class DynamicTriangleCoreT<Graph>;
 
 }  // namespace tkc
 

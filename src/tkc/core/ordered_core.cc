@@ -15,12 +15,13 @@ namespace tkc {
 
 OrderedDynamicCore::OrderedDynamicCore(Graph graph)
     : graph_(std::move(graph)) {
-  TriangleCoreResult initial = ComputeTriangleCores(graph_);
+  const CsrGraph frozen(graph_);
+  TriangleCoreResult initial = ComputeTriangleCores(frozen);
   kappa_ = initial.kappa;
   core_apex_.resize(graph_.EdgeCapacity());
   // Initial bookkeeping from Rule 1: the κ(e) triangles processed last.
   graph_.ForEachEdge([&](EdgeId e, const Edge&) {
-    for (const CoreTriangle& t : CoreTrianglesOf(graph_, initial, e)) {
+    for (const CoreTriangle& t : CoreTrianglesOf(frozen, initial, e)) {
       core_apex_[e].push_back(t.apex);
     }
     std::sort(core_apex_[e].begin(), core_apex_[e].end());
@@ -106,7 +107,8 @@ void OrderedDynamicCore::VerifyAfterUpdate(const char* where) {
 #if TKC_CHECK_LEVEL >= 2
   if (in_batch_) return;
   TKC_CHECK_MSG(CheckInvariants(), where);
-  verify::CheckOrDie(verify::CheckKappaCertificate(graph_, kappa_), where);
+  verify::CheckOrDie(verify::CheckKappaCertificate(CsrGraph(graph_), kappa_),
+                     where);
 #else
   (void)where;
 #endif

@@ -295,15 +295,6 @@ TriangleCoreResult PeelTriangleCores(const GraphT& g,
 
 }  // namespace
 
-TriangleCoreResult ComputeTriangleCores(const Graph& g,
-                                        TriangleStorageMode mode) {
-  TriangleCoreResult result = PeelTriangleCores(g, mode);
-  TKC_VERIFY_L2(verify::CheckOrDie(
-      verify::CheckKappaCertificate(g, result.kappa),
-      "ComputeTriangleCores(Graph)"));
-  return result;
-}
-
 TriangleCoreResult ComputeTriangleCores(const CsrGraph& g,
                                         TriangleStorageMode mode) {
   TriangleCoreResult result = PeelTriangleCores(g, mode);
@@ -335,8 +326,10 @@ TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx,
   // materialized triangle list.
   StoredTriangleLists stored;
   if (mode == TriangleStorageMode::kStoreTriangles) {
+    const std::vector<Triangle>& triangles = ctx.Triangles();
+    TKC_SPAN("partner_fill");
     stored.resize(g.EdgeCapacity());
-    for (const Triangle& t : ctx.Triangles()) {
+    for (const Triangle& t : triangles) {
       stored[t.ab].emplace_back(t.ac, t.bc);
       stored[t.ac].emplace_back(t.ab, t.bc);
       stored[t.bc].emplace_back(t.ab, t.ac);
@@ -348,12 +341,6 @@ TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx,
       verify::CheckKappaCertificate(g, result.kappa),
       "ComputeTriangleCores(AnalysisContext)"));
   return result;
-}
-
-uint32_t MaxKappa(const Graph& g, const TriangleCoreResult& r) {
-  uint32_t m = 0;
-  g.ForEachEdge([&](EdgeId e, const Edge&) { m = std::max(m, r.kappa[e]); });
-  return m;
 }
 
 uint32_t MaxKappa(const CsrGraph& g, const TriangleCoreResult& r) {

@@ -50,14 +50,8 @@ struct TriangleCoreResult {
 /// Every overload and both storage modes return the same result: κ, and
 /// the same `order`/`peel_sequence` (levels ascending, rounds in discovery
 /// order, edge ids ascending within a round), which is a valid peel order
-/// for Rule 1. This overload runs on the calling thread.
-TriangleCoreResult ComputeTriangleCores(
-    const Graph& g,
-    TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
-
-/// Same peel over a frozen CSR snapshot (identical EdgeIds, so the result
-/// is interchangeable with the dynamic-graph overload), on the calling
-/// thread.
+/// for Rule 1. This overload peels a frozen CSR snapshot (EdgeIds are
+/// those of the Graph it was frozen from) on the calling thread.
 TriangleCoreResult ComputeTriangleCores(
     const CsrGraph& g,
     TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
@@ -87,7 +81,6 @@ TriangleCoreResult ComputeTriangleCores(
     TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles);
 
 /// Largest κ over live edges of a precomputed result (0 on empty graphs).
-uint32_t MaxKappa(const Graph& g, const TriangleCoreResult& r);
 uint32_t MaxKappa(const CsrGraph& g, const TriangleCoreResult& r);
 
 }  // namespace tkc

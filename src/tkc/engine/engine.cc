@@ -22,23 +22,23 @@ namespace {
 // Builds the maintainer for the constructor: freeze the base once, run
 // Algorithm 1 on the shared snapshot, and adopt both. The CSR is never
 // copied again — the DeltaCsr overlays it and every snapshot shares it.
-DynamicTriangleCoreT<DeltaCsr> MakeInitialCore(const Graph& base,
+DynamicTriangleCore MakeInitialCore(const Graph& base,
                                                const EngineOptions& options) {
   DeltaCsr view(base);
   TriangleCoreResult initial = ComputeTriangleCores(view);
   (void)options;
-  return DynamicTriangleCoreT<DeltaCsr>(std::move(view), initial);
+  return DynamicTriangleCore(std::move(view), initial);
 }
 
 // Cache-served variant: the frozen snapshot (typically loaded from a .tkcg
 // graph cache) becomes epoch 0 directly — no re-freeze, no copy — and
 // Algorithm 1 runs once against it through the overlay.
-DynamicTriangleCoreT<DeltaCsr> MakeInitialCore(
+DynamicTriangleCore MakeInitialCore(
     std::shared_ptr<const CsrGraph> base, const EngineOptions& options) {
   DeltaCsr view(std::move(base));
   TriangleCoreResult initial = ComputeTriangleCores(view);
   (void)options;
-  return DynamicTriangleCoreT<DeltaCsr>(std::move(view), initial);
+  return DynamicTriangleCore(std::move(view), initial);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ SnapshotPair GrowSnapshot(const Graph& base, size_t num_grow,
 
   // (a) Densify around random triangles: connect each triangle vertex to a
   // random neighbor-of-neighbor, pulling near-cliques toward cliques.
-  std::vector<Triangle> triangles = ListTriangles(base);
+  std::vector<Triangle> triangles = ListTriangles(CsrGraph(base));
   for (size_t i = 0; i < num_grow && !triangles.empty(); ++i) {
     const Triangle& t = triangles[rng.NextBounded(triangles.size())];
     VertexId corners[3] = {t.a, t.b, t.c};

@@ -227,7 +227,7 @@ class CsrGraph {
   Graph ToGraph() const;
 
   /// Thaws back into a mutable Graph PRESERVING EdgeIds, holes included —
-  /// the cache-served path for commands that mutate. Note a relabeled
+  /// the cache-served path for `tkc verify`. Note a relabeled
   /// snapshot thaws in its relabeled vertex ids; callers that report
   /// original ids must reject relabeled snapshots first.
   Graph ThawPreservingIds() const;

@@ -36,14 +36,15 @@ struct Neighbor {
   }
 };
 
-/// Dynamic undirected simple graph.
+/// Dynamic undirected simple graph: the edge-list builder.
 ///
-/// This is the substrate every algorithm in the library runs on. Design
-/// points, chosen for the Triangle K-Core workload:
+/// Generators and parsers build a Graph; analyses run on the frozen
+/// `CsrGraph` (CsrGraph::Freeze / AnalysisContext) and dynamic updates on
+/// the `DeltaCsr` overlay, both of which keep its EdgeIds. Design points:
 ///
-///  * Adjacency lists are sorted vectors, so listing the triangles on edge
-///    (u,v) is a linear merge of N(u) and N(v) — the operation Algorithms
-///    1/2 perform constantly. Insertion/removal of an edge is O(deg).
+///  * Adjacency lists are sorted vectors, so triangles on edge (u,v) are a
+///    linear merge of N(u) and N(v). Insertion/removal of an edge is
+///    O(deg).
 ///  * Every edge gets a dense `EdgeId`. Removing an edge tombstones its id;
 ///    ids are never reused, so per-edge attribute arrays (κ values, order
 ///    stamps) indexed by EdgeId stay valid across mutations. `EdgeCapacity()`

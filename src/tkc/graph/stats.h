@@ -28,18 +28,13 @@ struct GraphStats {
   uint32_t num_components = 0;
 };
 
-GraphStats ComputeGraphStats(const Graph& g);
-
-/// Same statistics over the frozen CSR read path.
 GraphStats ComputeGraphStats(const CsrGraph& g);
 
 /// Degree histogram: result[d] = number of vertices with degree d.
-std::vector<uint64_t> DegreeHistogram(const Graph& g);
 std::vector<uint64_t> DegreeHistogram(const CsrGraph& g);
 
 /// Local clustering coefficient of one vertex: triangles through v divided
 /// by C(deg(v), 2); 0 when deg < 2.
-double LocalClustering(const Graph& g, VertexId v);
 double LocalClustering(const CsrGraph& g, VertexId v);
 
 /// Estimates the diameter (longest shortest path) of the largest component

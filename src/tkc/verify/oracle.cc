@@ -16,7 +16,7 @@ namespace {
 // Diffs a maintained κ map against a fresh recompute of `g`; returns the
 // first divergent live edge as a counterexample, with `step` recorded in
 // the level field.
-bool DiffAgainstRecompute(const Graph& g, const std::vector<uint32_t>& kappa,
+bool DiffAgainstRecompute(const DeltaCsr& g, const std::vector<uint32_t>& kappa,
                           size_t step, Counterexample* ce) {
   TriangleCoreResult fresh = ComputeTriangleCores(g);
   bool ok = true;
@@ -46,7 +46,7 @@ VerifyReport ReplayEventLog(const Graph& base,
                             " check_every=" +
                             std::to_string(options.check_every);
 
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
   std::optional<OrderedDynamicCore> ordered;
   if (options.check_ordered) ordered.emplace(base);
 
@@ -76,7 +76,7 @@ VerifyReport ReplayEventLog(const Graph& base,
       batch_ok = false;
     }
     if (ordered.has_value()) {
-      if (ordered_ok && !DiffAgainstRecompute(ordered->graph(),
+      if (ordered_ok && !DiffAgainstRecompute(DeltaCsr(ordered->graph()),
                                               ordered->kappa(), step,
                                               &ordered_ce)) {
         ordered_ok = false;

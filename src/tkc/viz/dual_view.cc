@@ -1,6 +1,7 @@
 #include "tkc/viz/dual_view.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "tkc/core/triangle_core.h"
 #include "tkc/util/check.h"
@@ -9,46 +10,44 @@ namespace tkc {
 
 DualViewResult BuildDualView(const Graph& old_graph,
                              const std::vector<EdgeEvent>& additions) {
-  DualViewResult result;
-
-  // Steps 1-3: κ and plot(a) on the original graph.
-  TriangleCoreResult old_cores = ComputeTriangleCores(old_graph);
-  result.old_kappa = old_cores.kappa;
-  std::vector<uint32_t> old_co(old_graph.EdgeCapacity(), 0);
-  old_graph.ForEachEdge([&](EdgeId e, const Edge&) {
+  // Steps 1-3: κ and plot(a) on the original graph, read from the frozen
+  // base the incremental updater then starts from.
+  DeltaCsr view(old_graph);
+  const CsrGraph& old_csr = view.base();
+  TriangleCoreResult old_cores = ComputeTriangleCores(old_csr);
+  std::vector<uint32_t> old_co(old_csr.EdgeCapacity(), 0);
+  old_csr.ForEachEdge([&](EdgeId e, const Edge&) {
     old_co[e] = old_cores.kappa[e] + 2;
   });
-  result.before = BuildDensityPlot(old_graph, old_co);
+  DensityPlot before = BuildDensityPlot(old_csr, old_co);
 
   // Step 4: apply additions through the incremental updater.
-  DynamicTriangleCore dyn(old_graph, old_cores);
+  DynamicTriangleCore dyn(std::move(view), old_cores);
+  UpdateStats update_stats;
   std::vector<EdgeId> new_edges;
   for (const EdgeEvent& ev : additions) {
     TKC_CHECK_MSG(ev.kind == EdgeEvent::Kind::kInsert,
                   "dual view handles edge additions");
     EdgeId e = dyn.InsertEdge(ev.u, ev.v);
     new_edges.push_back(e);
-    result.update_stats.candidate_edges +=
-        dyn.last_update_stats().candidate_edges;
-    result.update_stats.promoted_edges +=
-        dyn.last_update_stats().promoted_edges;
-    result.update_stats.triangles_scanned +=
+    update_stats.candidate_edges += dyn.last_update_stats().candidate_edges;
+    update_stats.promoted_edges += dyn.last_update_stats().promoted_edges;
+    update_stats.triangles_scanned +=
         dyn.last_update_stats().triangles_scanned;
   }
 
   // Steps 5-6: plot(b) from new-edge co_clique_size only. Old edges get 0,
   // so only the changed clique structure shows.
-  result.new_graph = dyn.graph();
-  result.new_kappa = dyn.kappa();
-  std::vector<uint32_t> new_co(result.new_graph.EdgeCapacity(), 0);
+  CsrGraph new_graph = CsrGraph::Freeze(dyn.graph());
+  std::vector<uint32_t> new_co(new_graph.EdgeCapacity(), 0);
   for (EdgeId e : new_edges) {
-    if (result.new_graph.IsEdgeAlive(e)) {
-      new_co[e] = result.new_kappa[e] + 2;
-    }
+    if (new_graph.IsEdgeAlive(e)) new_co[e] = dyn.kappa()[e] + 2;
   }
-  result.after = BuildDensityPlot(result.new_graph, new_co,
-                                  /*include_zero_vertices=*/false);
-  return result;
+  DensityPlot after = BuildDensityPlot(new_graph, new_co,
+                                       /*include_zero_vertices=*/false);
+  return DualViewResult{std::move(before), std::move(after),
+                        std::move(new_graph), std::move(old_cores.kappa),
+                        dyn.kappa(), update_stats};
 }
 
 Correspondence LocateInBefore(const DualViewResult& dual,

@@ -18,7 +18,7 @@ namespace tkc {
 struct DualViewResult {
   DensityPlot before;  // plot(a) over the old graph
   DensityPlot after;   // plot(b) over the new graph, changed cliques only
-  Graph new_graph;
+  CsrGraph new_graph;  // frozen from the updater's view; EdgeIds preserved
   std::vector<uint32_t> old_kappa;  // per old-graph EdgeId
   std::vector<uint32_t> new_kappa;  // per new-graph EdgeId
   UpdateStats update_stats;         // incremental work (step 4 cost)

@@ -4,26 +4,19 @@
 
 #include <vector>
 
-#include "tkc/baselines/csv.h"
 #include "tkc/baselines/dn_graph.h"
-#include "tkc/core/core_extraction.h"
-#include "tkc/core/hierarchy.h"
 #include "tkc/core/triangle_core.h"
 #include "tkc/gen/generators.h"
-#include "tkc/graph/connectivity.h"
-#include "tkc/graph/kcore.h"
-#include "tkc/graph/stats.h"
 #include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/util/parallel.h"
 #include "tkc/util/random.h"
-#include "tkc/viz/density_plot.h"
 
 namespace tkc {
 namespace {
 
-// Random graph with dead-edge holes, so EdgeId interchange across the
-// representations is exercised on a non-contiguous id space.
+// Random graph with dead-edge holes, so EdgeId preservation through the
+// freeze is exercised on a non-contiguous id space.
 Graph MakeTestGraph(uint64_t seed) {
   Rng rng(seed);
   Graph g = PowerLawCluster(80, 4, 0.6, rng);
@@ -48,12 +41,12 @@ TEST(AnalysisContextTest, SupportsMatchEveryPath) {
   for (uint64_t seed : {1, 2, 3, 4, 5}) {
     Graph g = MakeTestGraph(seed);
     CsrGraph csr(g);
-    const auto graph_path = ComputeEdgeSupports(g);
-    EXPECT_EQ(ComputeEdgeSupports(csr, 1), graph_path) << "seed=" << seed;
-    EXPECT_EQ(ComputeEdgeSupports(csr, 4), graph_path) << "seed=" << seed;
-    EXPECT_EQ(csr.ComputeSupports(4), graph_path) << "seed=" << seed;
+    const auto full_scan = ComputeEdgeSupportsFullScan(csr);
+    EXPECT_EQ(ComputeEdgeSupports(csr, 1), full_scan) << "seed=" << seed;
+    EXPECT_EQ(ComputeEdgeSupports(csr, 4), full_scan) << "seed=" << seed;
+    EXPECT_EQ(csr.ComputeSupports(4), full_scan) << "seed=" << seed;
     AnalysisContext ctx(g, 4);
-    EXPECT_EQ(ctx.Supports(), graph_path) << "seed=" << seed;
+    EXPECT_EQ(ctx.Supports(), full_scan) << "seed=" << seed;
   }
 }
 
@@ -63,8 +56,7 @@ TEST(AnalysisContextTest, DecompositionIdenticalAcrossPathsModesThreads) {
     CsrGraph csr(g);
     for (TriangleStorageMode mode : {TriangleStorageMode::kStoreTriangles,
                                      TriangleStorageMode::kRecomputeTriangles}) {
-      const TriangleCoreResult want = ComputeTriangleCores(g, mode);
-      ExpectSameCores(ComputeTriangleCores(csr, mode), want, "csr path");
+      const TriangleCoreResult want = ComputeTriangleCores(csr, mode);
       for (int threads : {1, 4}) {
         AnalysisContext ctx(g, threads);
         ExpectSameCores(ComputeTriangleCores(ctx, mode), want, "context path");
@@ -76,81 +68,8 @@ TEST(AnalysisContextTest, DecompositionIdenticalAcrossPathsModesThreads) {
   }
 }
 
-TEST(AnalysisContextTest, KCoreStatsConnectivityMatch) {
-  for (uint64_t seed : {20, 21}) {
-    Graph g = MakeTestGraph(seed);
-    CsrGraph csr(g);
-
-    KCoreResult kg = ComputeKCores(g);
-    KCoreResult kc = ComputeKCores(csr);
-    EXPECT_EQ(kg.core_of, kc.core_of);
-    EXPECT_EQ(kg.max_core, kc.max_core);
-
-    GraphStats sg = ComputeGraphStats(g);
-    GraphStats sc = ComputeGraphStats(csr);
-    EXPECT_EQ(sg.num_vertices, sc.num_vertices);
-    EXPECT_EQ(sg.num_edges, sc.num_edges);
-    EXPECT_EQ(sg.num_triangles, sc.num_triangles);
-    EXPECT_EQ(sg.max_degree, sc.max_degree);
-    EXPECT_DOUBLE_EQ(sg.global_clustering, sc.global_clustering);
-    EXPECT_DOUBLE_EQ(sg.mean_local_clustering, sc.mean_local_clustering);
-    EXPECT_EQ(sg.degeneracy, sc.degeneracy);
-    EXPECT_EQ(sg.num_components, sc.num_components);
-    EXPECT_EQ(DegreeHistogram(g), DegreeHistogram(csr));
-
-    ComponentResult cg = ConnectedComponents(g);
-    ComponentResult cc = ConnectedComponents(csr);
-    EXPECT_EQ(cg.component_of, cc.component_of);
-    EXPECT_EQ(cg.num_components, cc.num_components);
-  }
-}
-
-TEST(AnalysisContextTest, ExtractionAndHierarchyMatch) {
-  Graph g = MakeTestGraph(30);
-  CsrGraph csr(g);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-
-  EXPECT_TRUE(VerifyTheorem1(g, r.kappa));
-  EXPECT_TRUE(VerifyTheorem1(csr, r.kappa));
-  for (uint32_t k = 0; k <= r.max_kappa; ++k) {
-    CoreSubgraph a = TriangleKCore(g, r.kappa, k);
-    CoreSubgraph b = TriangleKCore(csr, r.kappa, k);
-    EXPECT_EQ(a.edges, b.edges);
-    EXPECT_EQ(a.vertices, b.vertices);
-    auto cores_g = TriangleConnectedCores(g, r.kappa, k);
-    auto cores_c = TriangleConnectedCores(csr, r.kappa, k);
-    ASSERT_EQ(cores_g.size(), cores_c.size());
-    for (size_t i = 0; i < cores_g.size(); ++i) {
-      EXPECT_EQ(cores_g[i].edges, cores_c[i].edges);
-      EXPECT_EQ(cores_g[i].vertices, cores_c[i].vertices);
-    }
-  }
-  g.ForEachEdge([&](EdgeId e, const Edge&) {
-    if (r.kappa[e] == 0) return;
-    CoreSubgraph a = MaxTriangleCoreOf(g, r.kappa, e);
-    CoreSubgraph b = MaxTriangleCoreOf(csr, r.kappa, e);
-    EXPECT_EQ(a.edges, b.edges);
-    EXPECT_TRUE(VerifyTriangleKCore(csr, b.edges, b.k));
-  });
-
-  CoreHierarchy hg = BuildCoreHierarchy(g, r);
-  CoreHierarchy hc = BuildCoreHierarchy(csr, r);
-  ASSERT_EQ(hg.nodes.size(), hc.nodes.size());
-  EXPECT_EQ(hg.roots, hc.roots);
-  EXPECT_EQ(hg.leaf_of_edge_, hc.leaf_of_edge_);
-  for (size_t i = 0; i < hg.nodes.size(); ++i) {
-    EXPECT_EQ(hg.nodes[i].k, hc.nodes[i].k);
-    EXPECT_EQ(hg.nodes[i].parent, hc.nodes[i].parent);
-    EXPECT_EQ(hg.nodes[i].children, hc.nodes[i].children);
-    EXPECT_EQ(hg.nodes[i].edges, hc.nodes[i].edges);
-    EXPECT_EQ(hg.nodes[i].subtree_edges, hc.nodes[i].subtree_edges);
-    EXPECT_EQ(hg.nodes[i].subtree_vertices, hc.nodes[i].subtree_vertices);
-  }
-}
-
-TEST(AnalysisContextTest, BaselinesAndPlotsMatch) {
+TEST(AnalysisContextTest, DnBaselinesMatchGraphPath) {
   Graph g = MakeTestGraph(40);
-  CsrGraph csr(g);
 
   for (int threads : {1, 4}) {
     AnalysisContext ctx(g, threads);
@@ -164,25 +83,6 @@ TEST(AnalysisContextTest, BaselinesAndPlotsMatch) {
     EXPECT_EQ(bg.lambda, bc.lambda) << "threads=" << threads;
     EXPECT_EQ(bg.iterations, bc.iterations) << "threads=" << threads;
     EXPECT_EQ(bg.edge_updates, bc.edge_updates) << "threads=" << threads;
-  }
-
-  CsvResult cg = ComputeCsv(g);
-  CsvResult cc = ComputeCsv(csr);
-  EXPECT_EQ(cg.co_clique_size, cc.co_clique_size);
-  EXPECT_EQ(cg.search_nodes, cc.search_nodes);
-  EXPECT_EQ(cg.estimated_edges, cc.estimated_edges);
-
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  std::vector<uint32_t> co(g.EdgeCapacity(), 0);
-  g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
-  for (bool include_zero : {true, false}) {
-    DensityPlot pg = BuildDensityPlot(g, co, include_zero);
-    DensityPlot pc = BuildDensityPlot(csr, co, include_zero);
-    ASSERT_EQ(pg.points.size(), pc.points.size());
-    for (size_t i = 0; i < pg.points.size(); ++i) {
-      EXPECT_EQ(pg.points[i].vertex, pc.points[i].vertex);
-      EXPECT_EQ(pg.points[i].value, pc.points[i].value);
-    }
   }
 }
 
@@ -222,7 +122,8 @@ TEST(AnalysisContextTest, TrianglesMaterializedOnceAndComplete) {
   ctx.Triangles();
   ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
   EXPECT_EQ(counter.Value(), 1u);
-  EXPECT_EQ(static_cast<uint64_t>(tris.size()), CountTriangles(g));
+  EXPECT_EQ(static_cast<uint64_t>(tris.size()),
+            CountTriangles(ctx.csr(), 1));
   EXPECT_EQ(static_cast<uint64_t>(tris.size()), ctx.TriangleCount());
 }
 
@@ -231,7 +132,7 @@ TEST(AnalysisContextTest, AdoptsExistingSnapshot) {
   CsrGraph csr(g);
   AnalysisContext ctx(csr, 1);
   EXPECT_EQ(ctx.csr().NumEdges(), g.NumEdges());
-  EXPECT_EQ(ctx.Supports(), ComputeEdgeSupports(g));
+  EXPECT_EQ(ctx.Supports(), ComputeEdgeSupports(csr));
 }
 
 }  // namespace

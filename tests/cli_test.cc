@@ -227,6 +227,12 @@ TEST_F(CliTest, DecomposeSchemaAndOutputIndependentOfThreads) {
     EXPECT_NE(schema[0].find("\ndecompose\n"), std::string::npos);
     EXPECT_NE(schema[0].find("\n  cli.write_output\n"), std::string::npos)
         << schema[0];
+    // Store mode fills its per-edge partner lists under a named span.
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(schema[i].find("\n    partner_fill\n") != std::string::npos,
+                mode == "store")
+          << "--threads=" << threads[i] << "\n" << schema[i];
+    }
   }
 }
 
@@ -305,6 +311,54 @@ TEST_F(CliTest, UpdateAppliesEventsAndVerifies) {
   ASSERT_EQ(RunTool({"update", edges_path_, events_path}, &out), 0);
   EXPECT_NE(out.find("events=2"), std::string::npos);
   EXPECT_NE(out.find("verified=yes"), std::string::npos);
+}
+
+// stdout with every `*_seconds=<value>` field dropped.
+std::string WithoutSecondsFields(const std::string& out) {
+  std::istringstream lines(out);
+  std::string line, kept;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string field, joined;
+    while (fields >> field) {
+      if (field.find("_seconds=") != std::string::npos) continue;
+      if (!joined.empty()) joined += ' ';
+      joined += field;
+    }
+    kept += joined;
+    kept += '\n';
+  }
+  return kept;
+}
+
+TEST_F(CliTest, UpdateOutputPinnedAndIdenticalFromGraphCache) {
+  // Remove an edge, re-insert it (it takes the fresh id 8, so its row moves
+  // behind the base rows) and attach a new vertex 5.
+  const std::string figure2 = std::string(TKC_DATA_DIR) + "/figure2.txt";
+  const std::string events = TempPath("cli_update_pin_events.txt");
+  {
+    std::ofstream ev(events);
+    ev << "- 1 2\n+ 1 2\n+ 4 5\n";
+  }
+  const std::string expected =
+      "# u v kappa\n"
+      "0 1 1\n0 2 1\n1 3 2\n1 4 2\n2 3 2\n2 4 2\n3 4 2\n1 2 2\n4 5 0\n"
+      "# events=3 candidates=16 promoted=8 demoted=7 triangles_scanned=45 "
+      "verified=yes\n";
+  std::string text_out;
+  ASSERT_EQ(RunTool({"update", figure2, events}, &text_out), 0);
+  EXPECT_EQ(WithoutSecondsFields(text_out), expected) << text_out;
+
+  const std::string cache = TempPath("cli_update_pin.tkcg");
+  std::string out, err;
+  ASSERT_EQ(RunTool({"cache", "build", figure2, "--out=" + cache}, &out), 0);
+  std::string cache_out;
+  ASSERT_EQ(RunTool({"update", figure2, events, "--graph-cache=" + cache,
+                     "--log-level=info"},
+                    &cache_out, &err),
+            0);
+  EXPECT_NE(err.find("cache.loaded"), std::string::npos);
+  EXPECT_EQ(WithoutSecondsFields(cache_out), expected) << cache_out;
 }
 
 TEST_F(CliTest, UpdateSkipsMalformedEventRowsWithWarning) {

@@ -12,51 +12,52 @@ namespace {
 
 TEST(CoreExtractionTest, GlobalCoreIsKappaThreshold) {
   Rng rng(3);
-  Graph g = ErdosRenyi(50, 0.2, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  const CsrGraph csr(ErdosRenyi(50, 0.2, rng));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
   for (uint32_t k = 0; k <= r.max_kappa; ++k) {
-    CoreSubgraph sub = TriangleKCore(g, r.kappa, k);
+    CoreSubgraph sub = TriangleKCore(csr, r.kappa, k);
     for (EdgeId e : sub.edges) EXPECT_GE(r.kappa[e], k);
     // Claim 2: G_k is a Triangle K-Core with number k.
-    EXPECT_TRUE(VerifyTriangleKCore(g, sub.edges, k)) << "k=" << k;
+    EXPECT_TRUE(VerifyTriangleKCore(csr, sub.edges, k)) << "k=" << k;
   }
 }
 
 TEST(CoreExtractionTest, MaxCoreOfEdgeIsValidAndContainsEdge) {
   Rng rng(5);
-  Graph g = PowerLawCluster(120, 3, 0.7, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  const CsrGraph csr(PowerLawCluster(120, 3, 0.7, rng));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
   int checked = 0;
-  g.ForEachEdge([&](EdgeId e, const Edge&) {
+  csr.ForEachEdge([&](EdgeId e, const Edge&) {
     if (checked >= 25) return;
     ++checked;
-    CoreSubgraph sub = MaxTriangleCoreOf(g, r.kappa, e);
+    CoreSubgraph sub = MaxTriangleCoreOf(csr, r.kappa, e);
     EXPECT_EQ(sub.k, r.kappa[e]);
     EXPECT_TRUE(std::binary_search(sub.edges.begin(), sub.edges.end(), e));
-    EXPECT_TRUE(VerifyTriangleKCore(g, sub.edges, sub.k));
+    EXPECT_TRUE(VerifyTriangleKCore(csr, sub.edges, sub.k));
   });
 }
 
 TEST(CoreExtractionTest, CliqueCoreIsWholeClique) {
-  Graph g = CompleteGraph(7);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  EdgeId e = g.FindEdge(2, 5);
-  CoreSubgraph sub = MaxTriangleCoreOf(g, r.kappa, e);
+  const CsrGraph csr(CompleteGraph(7));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  EdgeId e = csr.FindEdge(2, 5);
+  CoreSubgraph sub = MaxTriangleCoreOf(csr, r.kappa, e);
   EXPECT_EQ(sub.k, 5u);
   EXPECT_EQ(sub.vertices.size(), 7u);
   EXPECT_EQ(sub.edges.size(), 21u);
-  EXPECT_TRUE(IsClique(g, sub.vertices));
+  EXPECT_TRUE(IsClique(csr, sub.vertices));
 }
 
 TEST(CoreExtractionTest, DisjointCliquesSeparateComponents) {
   Graph g(20);
   PlantClique(g, {0, 1, 2, 3, 4});
   PlantClique(g, {10, 11, 12, 13, 14, 15});
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  auto cores3 = TriangleConnectedCores(g, r.kappa, 3);
+  const CsrGraph csr(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  auto cores3 = TriangleConnectedCores(csr, r.kappa, 3);
   // κ=3 requires 5 vertices minimum; both cliques qualify at k=3.
   ASSERT_EQ(cores3.size(), 2u);
-  auto cores4 = TriangleConnectedCores(g, r.kappa, 4);
+  auto cores4 = TriangleConnectedCores(csr, r.kappa, 4);
   ASSERT_EQ(cores4.size(), 1u);
   EXPECT_EQ(cores4[0].vertices.size(), 6u);
   EXPECT_EQ(cores4[0].vertices[0], 10u);
@@ -69,42 +70,44 @@ TEST(CoreExtractionTest, BridgedCliquesStaySeparateAboveBridgeLevel) {
   PlantClique(g, {0, 1, 2, 3, 4, 5});
   PlantClique(g, {6, 7, 8, 9, 10, 11});
   g.AddEdge(5, 6);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  const CsrGraph csr(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
   EXPECT_EQ(r.kappa[g.FindEdge(5, 6)], 0u);
-  auto cores = TriangleConnectedCores(g, r.kappa, 4);
+  auto cores = TriangleConnectedCores(csr, r.kappa, 4);
   EXPECT_EQ(cores.size(), 2u);
 }
 
 TEST(CoreExtractionTest, VerifyRejectsUndersupportedSubgraph) {
-  Graph g = CompleteGraph(4);
-  std::vector<EdgeId> three_edges{g.FindEdge(0, 1), g.FindEdge(1, 2),
-                                  g.FindEdge(0, 2)};
-  EXPECT_TRUE(VerifyTriangleKCore(g, three_edges, 1));
-  EXPECT_FALSE(VerifyTriangleKCore(g, three_edges, 2));
+  const CsrGraph csr(CompleteGraph(4));
+  std::vector<EdgeId> three_edges{csr.FindEdge(0, 1), csr.FindEdge(1, 2),
+                                  csr.FindEdge(0, 2)};
+  EXPECT_TRUE(VerifyTriangleKCore(csr, three_edges, 1));
+  EXPECT_FALSE(VerifyTriangleKCore(csr, three_edges, 2));
 }
 
 TEST(CoreExtractionTest, VerifyRejectsDeadEdges) {
   Graph g = CompleteGraph(4);
   EdgeId e = g.FindEdge(0, 1);
   g.RemoveEdgeById(e);
-  EXPECT_FALSE(VerifyTriangleKCore(g, {e}, 0));
+  EXPECT_FALSE(VerifyTriangleKCore(CsrGraph(g), {e}, 0));
 }
 
 TEST(CoreExtractionTest, IsCliqueDetects) {
   Graph g(5);
   PlantClique(g, {0, 1, 2, 3});
-  EXPECT_TRUE(IsClique(g, {0, 1, 2, 3}));
-  EXPECT_TRUE(IsClique(g, {0, 1}));
-  EXPECT_TRUE(IsClique(g, {}));
-  EXPECT_FALSE(IsClique(g, {0, 1, 4}));
+  const CsrGraph csr(g);
+  EXPECT_TRUE(IsClique(csr, {0, 1, 2, 3}));
+  EXPECT_TRUE(IsClique(csr, {0, 1}));
+  EXPECT_TRUE(IsClique(csr, {}));
+  EXPECT_FALSE(IsClique(csr, {0, 1, 4}));
 }
 
 TEST(CoreExtractionTest, ZeroLevelCoreIsWholeGraph) {
   Rng rng(9);
-  Graph g = GnmRandom(30, 50, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  CoreSubgraph sub = TriangleKCore(g, r.kappa, 0);
-  EXPECT_EQ(sub.edges.size(), g.NumEdges());
+  const CsrGraph csr(GnmRandom(30, 50, rng));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  CoreSubgraph sub = TriangleKCore(csr, r.kappa, 0);
+  EXPECT_EQ(sub.edges.size(), csr.NumEdges());
 }
 
 }  // namespace

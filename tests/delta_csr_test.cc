@@ -190,7 +190,7 @@ TEST(DeltaCsrTest, TriangleCoresMatchGraphPathOnMutatedView) {
       view.AddEdge(u, v, nullptr);
     }
   }
-  TriangleCoreResult from_graph = ComputeTriangleCores(ref);
+  TriangleCoreResult from_graph = ComputeTriangleCores(CsrGraph(ref));
   TriangleCoreResult from_view = ComputeTriangleCores(view);
   EXPECT_EQ(from_graph.max_kappa, from_view.max_kappa);
   EXPECT_EQ(from_graph.triangle_count, from_view.triangle_count);

@@ -42,7 +42,7 @@ TEST_P(Claim3Sweep, TriDnAndBiTriDnConvergeToKappa) {
                      PowerLawCluster(80, 3, 0.7, rng),
                      PlantedPartition(3, 14, 0.5, 0.04, rng)};
   for (Graph& g : graphs) {
-    TriangleCoreResult cores = ComputeTriangleCores(g);
+    TriangleCoreResult cores = ComputeTriangleCores(CsrGraph(g));
     DnGraphResult tri = TriDn(g);
     DnGraphResult bi = BiTriDn(g);
     EXPECT_EQ(LiveValues(g, tri.lambda), LiveValues(g, cores.kappa));

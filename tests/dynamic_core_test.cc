@@ -31,7 +31,7 @@ namespace {
 
 TEST(DynamicCoreTest, StartsFromStaticDecomposition) {
   Graph g = PaperFigure2Graph();
-  DynamicTriangleCore dyn(g);
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   EXPECT_TRUE(InvariantHolds(dyn));
 }
 
@@ -48,9 +48,9 @@ TEST(DynamicCoreTest, PaperFigure3InsertionExample) {
   g.AddEdge(kC, kD);
   g.AddEdge(kC, kE);
   g.AddEdge(kD, kE);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   // Pre-insertion values from the paper.
-  const Graph& gr = dyn.graph();
+  const DeltaCsr& gr = dyn.graph();
   EXPECT_EQ(dyn.KappaOf(gr.FindEdge(kA, kB)), 0u);
   EXPECT_EQ(dyn.KappaOf(gr.FindEdge(kB, kC)), 0u);
   EXPECT_EQ(dyn.KappaOf(gr.FindEdge(kA, kE)), 1u);
@@ -69,7 +69,7 @@ TEST(DynamicCoreTest, InsertCompletesClique) {
   // K5 minus one edge; inserting it must lift every edge from κ<=2 to 3.
   Graph g = CompleteGraph(5);
   g.RemoveEdge(0, 1);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   dyn.InsertEdge(0, 1);
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(dyn.KappaOf(e), 3u);
@@ -82,14 +82,14 @@ TEST(DynamicCoreTest, InsertBumpsBeyondBound) {
   // K4 missing an edge has all κ=1; the closing edge jumps to κ=2 = k1+1.
   Graph g = CompleteGraph(4);
   g.RemoveEdge(2, 3);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   EdgeId e = dyn.InsertEdge(2, 3);
   EXPECT_EQ(dyn.KappaOf(e), 2u);
   EXPECT_TRUE(InvariantHolds(dyn));
 }
 
 TEST(DynamicCoreTest, RemoveFromClique) {
-  DynamicTriangleCore dyn(CompleteGraph(6));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(6))};
   EXPECT_TRUE(dyn.RemoveEdge(0, 1));
   EXPECT_TRUE(InvariantHolds(dyn));
   EXPECT_FALSE(dyn.RemoveEdge(0, 1));  // already gone
@@ -103,7 +103,7 @@ TEST(DynamicCoreTest, RemoveCascades) {
     g.AddEdge(v, v + 2);
   }
   g.AddEdge(6, 7);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   dyn.RemoveEdge(2, 3);
   EXPECT_TRUE(InvariantHolds(dyn));
   dyn.RemoveEdge(0, 1);
@@ -111,7 +111,7 @@ TEST(DynamicCoreTest, RemoveCascades) {
 }
 
 TEST(DynamicCoreTest, InsertExistingEdgeIsNoop) {
-  DynamicTriangleCore dyn(CompleteGraph(4));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(4))};
   auto before = dyn.kappa();
   dyn.InsertEdge(0, 1);
   EXPECT_EQ(dyn.kappa(), before);
@@ -120,7 +120,7 @@ TEST(DynamicCoreTest, InsertExistingEdgeIsNoop) {
 TEST(DynamicCoreTest, InsertIntoEmptyRegionIsCheap) {
   Graph g = CompleteGraph(30);
   g.EnsureVertices(40);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   dyn.InsertEdge(35, 36);  // far from the clique, no triangles
   EXPECT_EQ(dyn.KappaOf(dyn.graph().FindEdge(35, 36)), 0u);
   // Rule 0: nothing outside the new edge may be touched.
@@ -129,7 +129,7 @@ TEST(DynamicCoreTest, InsertIntoEmptyRegionIsCheap) {
 }
 
 TEST(DynamicCoreTest, GrowsIntoFreshVertices) {
-  DynamicTriangleCore dyn(CompleteGraph(3));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(3))};
   dyn.InsertEdge(0, 5);
   dyn.InsertEdge(1, 5);
   dyn.InsertEdge(2, 5);  // now K4
@@ -143,7 +143,7 @@ TEST(DynamicCoreTest, BuildCliqueEdgeByEdge) {
   // Insert all edges of K7 one at a time, checking the invariant after
   // every step — exercises multi-level promotion repeatedly.
   Graph empty(7);
-  DynamicTriangleCore dyn(std::move(empty));
+  DynamicTriangleCore dyn{DeltaCsr(empty)};
   for (VertexId u = 0; u < 7; ++u) {
     for (VertexId v = u + 1; v < 7; ++v) {
       dyn.InsertEdge(u, v);
@@ -154,7 +154,7 @@ TEST(DynamicCoreTest, BuildCliqueEdgeByEdge) {
 }
 
 TEST(DynamicCoreTest, DismantleCliqueEdgeByEdge) {
-  DynamicTriangleCore dyn(CompleteGraph(7));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(7))};
   std::vector<Edge> edges;
   dyn.graph().ForEachEdge([&](EdgeId, const Edge& e) { edges.push_back(e); });
   for (const Edge& e : edges) {
@@ -169,7 +169,7 @@ TEST(DynamicCoreTest, RemoveVertexEdges) {
   // Vertex departure = removal of its incident edges (paper's model).
   Graph g = CompleteGraph(6);
   g.EnsureVertices(8);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   EXPECT_EQ(dyn.RemoveVertexEdges(0), 5u);
   EXPECT_EQ(dyn.graph().Degree(0), 0u);
   EXPECT_TRUE(InvariantHolds(dyn));
@@ -181,7 +181,7 @@ TEST(DynamicCoreTest, RemoveVertexEdges) {
 }
 
 TEST(DynamicCoreTest, StatsAccumulate) {
-  DynamicTriangleCore dyn(CompleteGraph(6));
+  DynamicTriangleCore dyn{DeltaCsr(CompleteGraph(6))};
   dyn.RemoveEdge(0, 1);
   uint64_t after_one = dyn.total_stats().triangles_scanned;
   EXPECT_GT(after_one, 0u);
@@ -220,10 +220,10 @@ TEST_P(DynamicMatchesStatic, AfterEveryMutation) {
   const ChurnParam p = GetParam();
   Rng rng(p.seed);
   Graph base = MakeBase(p, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
 
   for (int step = 0; step < p.steps; ++step) {
-    const Graph& g = dyn.graph();
+    const DeltaCsr& g = dyn.graph();
     bool do_insert = rng.NextBool(0.55) || g.NumEdges() == 0;
     if (do_insert) {
       VertexId u = 0, v = 0;
@@ -258,7 +258,7 @@ TEST(DynamicCoreTest, MatchesStaticAfterBulkChurn) {
   Rng rng(999);
   Graph base = PowerLawCluster(400, 4, 0.6, rng);
   std::vector<EdgeEvent> events = RandomChurn(base, 20, 20, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
   for (const EdgeEvent& ev : events) {
     if (ev.kind == EdgeEvent::Kind::kInsert) {
       dyn.InsertEdge(ev.u, ev.v);

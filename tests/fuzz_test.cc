@@ -44,9 +44,9 @@ void ExpectMatchesStatic(const DynamicTriangleCore& dyn, const char* where) {
 TEST(FuzzTest, LongMixedChurnWithPeriodicChecks) {
   Rng rng(31337);
   Graph base = PowerLawCluster(150, 3, 0.6, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
   for (int step = 1; step <= 400; ++step) {
-    const Graph& g = dyn.graph();
+    const DeltaCsr& g = dyn.graph();
     if (rng.NextBool(0.5)) {
       VertexId u = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
       VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
@@ -64,7 +64,7 @@ TEST(FuzzTest, CliqueGrowthAndDecayCycles) {
   // Grow a clique vertex by vertex to K12, then tear it down edge by edge
   // — maximal multi-level promotion and demotion cascades.
   Graph g(12);
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   for (VertexId v = 1; v < 12; ++v) {
     for (VertexId u = 0; u < v; ++u) dyn.InsertEdge(u, v);
     ExpectMatchesStatic(dyn, "growth");
@@ -85,10 +85,10 @@ TEST(FuzzTest, OverlappingCliquesChurn) {
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6});
   PlantClique(g, {4, 5, 6, 7, 8, 9, 10});
   PlantClique(g, {8, 9, 10, 11, 12, 13, 14});
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   Rng rng(77);
   for (int step = 0; step < 120; ++step) {
-    const Graph& graph = dyn.graph();
+    const DeltaCsr& graph = dyn.graph();
     VertexId u = static_cast<VertexId>(rng.NextBounded(15));
     VertexId v = static_cast<VertexId>(rng.NextBounded(15));
     if (u == v) continue;
@@ -107,7 +107,7 @@ TEST(FuzzTest, BarbellBridgeChurn) {
   Graph g(16);
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6});
   PlantClique(g, {9, 10, 11, 12, 13, 14, 15});
-  DynamicTriangleCore dyn(std::move(g));
+  DynamicTriangleCore dyn{DeltaCsr(g)};
   Rng rng(99);
   for (int round = 0; round < 40; ++round) {
     // Randomly toggle bridge edges through the middle vertices 7, 8.
@@ -144,7 +144,7 @@ TEST(FuzzTest, OrderedCoreLongRun) {
     }
     if (step % 25 == 0) {
       ASSERT_TRUE(dyn.CheckInvariants()) << "step " << step;
-      TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
+      TriangleCoreResult fresh = ComputeTriangleCores(CsrGraph(dyn.graph()));
       dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
         ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e]) << "step " << step;
       });
@@ -157,7 +157,7 @@ TEST(FuzzTest, RebuildEquivalenceAfterHeavyChurn) {
   // mutated graph matches the maintained one exactly.
   Rng rng(8);
   Graph base = PowerLawCluster(100, 3, 0.5, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
   for (int i = 0; i < 300; ++i) {
     VertexId u = static_cast<VertexId>(rng.NextBounded(100));
     VertexId v = static_cast<VertexId>(rng.NextBounded(100));
@@ -168,7 +168,7 @@ TEST(FuzzTest, RebuildEquivalenceAfterHeavyChurn) {
       dyn.InsertEdge(u, v);
     }
   }
-  DynamicTriangleCore rebuilt(dyn.graph());
+  DynamicTriangleCore rebuilt{dyn.graph()};
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(dyn.kappa()[e], rebuilt.kappa()[e]);
   });
@@ -187,12 +187,12 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
   Rng rng(1000003 * (mode == TriangleStorageMode::kStoreTriangles ? 1 : 2) +
           static_cast<uint64_t>(threads));
   Graph base = PowerLawCluster(90, 3, 0.55, rng);
-  DynamicTriangleCore dyn(base);
+  DynamicTriangleCore dyn{DeltaCsr(base)};
 
   constexpr int kSteps = 240;
   constexpr int kCheckEvery = 24;
   for (int step = 1; step <= kSteps; ++step) {
-    const Graph& g = dyn.graph();
+    const DeltaCsr& g = dyn.graph();
     VertexId u = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
     VertexId v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
     if (u == v) continue;
@@ -205,7 +205,7 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
 
     // Oracle 1: Algorithm-1 recompute through the parallel CSR read path
     // in the parameterized storage mode / thread count.
-    AnalysisContext ctx(dyn.graph(), threads);
+    AnalysisContext ctx(CsrGraph::Freeze(dyn.graph()), threads);
     TriangleCoreResult fresh = ComputeTriangleCores(ctx, mode);
     dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
       ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e])
@@ -298,10 +298,10 @@ TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
     ScopedDefaultKernel scoped(kernel);
     AnalysisContext ctx(g, threads);
     TriangleCoreResult from_ctx = ComputeTriangleCores(ctx);
-    TriangleCoreResult from_graph = ComputeTriangleCores(g);
+    TriangleCoreResult from_graph = ComputeTriangleCores(CsrGraph(g));
     ASSERT_EQ(from_ctx.kappa, from_graph.kappa) << "step " << step;
     verify::VerifyReport cert =
-        verify::CheckKappaCertificate(g, from_ctx.kappa);
+        verify::CheckKappaCertificate(CsrGraph(g), from_ctx.kappa);
     ASSERT_TRUE(cert.AllPassed())
         << "step " << step << ": " << cert.FirstFailure()->name << " — "
         << cert.FirstFailure()->detail;
@@ -365,10 +365,10 @@ TEST_P(BatchFuzzTest, BatchedEqualsPerEventByEndpoints) {
     }
   }
 
-  // Per-event reference on the legacy substrate vs batched maintainer on
-  // the DeltaCsr overlay, compacting mid-stream to cross epoch boundaries.
-  DynamicTriangleCore reference(base);
-  DynamicTriangleCoreT<DeltaCsr> batched{DeltaCsr(base)};
+  // Per-event reference vs batched maintainer, the batched one compacting
+  // mid-stream to cross epoch boundaries.
+  DynamicTriangleCore reference{DeltaCsr(base)};
+  DynamicTriangleCore batched{DeltaCsr(base)};
   size_t batches = 0;
   for (size_t off = 0; off < events.size(); off += batch_size) {
     const size_t count = std::min(batch_size, events.size() - off);
@@ -498,9 +498,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(RelabelMode::kNone,
                                          RelabelMode::kDegree)),
     [](const ::testing::TestParamInfo<IngestFuzzTest::ParamType>& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == RelabelMode::kDegree ? "_degree"
-                                                              : "_none");
+      std::string name = "t";
+      name.append(std::to_string(std::get<0>(info.param)));
+      name.append(std::get<1>(info.param) == RelabelMode::kDegree ? "_degree"
+                                                                  : "_none");
+      return name;
     });
 
 TEST(FuzzTest, ReplayOracleOverGeneratedEventLog) {

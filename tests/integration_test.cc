@@ -28,13 +28,13 @@ TEST(IntegrationTest, DiskRoundTripPreservesDecomposition) {
   // generate -> write -> read -> decompose twice: identical κ multisets.
   Rng rng(1);
   Graph g = PowerLawCluster(300, 3, 0.6, rng);
-  TriangleCoreResult before = ComputeTriangleCores(g);
+  TriangleCoreResult before = ComputeTriangleCores(CsrGraph(g));
 
   std::stringstream buffer;
   WriteEdgeList(g, buffer);
   auto loaded = ReadEdgeList(buffer);
   ASSERT_TRUE(loaded.has_value());
-  TriangleCoreResult after = ComputeTriangleCores(*loaded);
+  TriangleCoreResult after = ComputeTriangleCores(CsrGraph(*loaded));
 
   // Edge ids may differ; compare per-pair κ.
   g.ForEachEdge([&](EdgeId e, const Edge& edge) {
@@ -62,7 +62,7 @@ TEST(IntegrationTest, FullDynamicPipelineOverSnapshotStream) {
   auto reloaded = ReadSnapshotStream(buffer);
   ASSERT_TRUE(reloaded.has_value());
 
-  DynamicTriangleCore dyn(reloaded->base);
+  DynamicTriangleCore dyn{DeltaCsr(reloaded->base)};
   for (size_t s = 0; s < reloaded->deltas.size(); ++s) {
     dyn.ApplyEvents(reloaded->deltas[s]);
     TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
@@ -78,20 +78,21 @@ TEST(IntegrationTest, PlateauToCoreToHierarchyAgreement) {
   Rng rng(3);
   Graph g = GnmRandom(250, 400, rng);
   auto members = PlantRandomClique(g, 10, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  const CsrGraph csr(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
 
-  std::vector<uint32_t> co(g.EdgeCapacity(), 0);
-  g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
-  DensityPlot plot = BuildDensityPlot(g, co);
+  std::vector<uint32_t> co(csr.EdgeCapacity(), 0);
+  csr.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
+  DensityPlot plot = BuildDensityPlot(csr, co);
   auto plateaus = FindPlateaus(plot, 10, 8);
   ASSERT_FALSE(plateaus.empty());
 
-  EdgeId seed = g.FindEdge(members[0], members[1]);
-  CoreSubgraph core = MaxTriangleCoreOf(g, r.kappa, seed);
-  EXPECT_TRUE(VerifyTriangleKCore(g, core.edges, core.k));
+  EdgeId seed = csr.FindEdge(members[0], members[1]);
+  CoreSubgraph core = MaxTriangleCoreOf(csr, r.kappa, seed);
+  EXPECT_TRUE(VerifyTriangleKCore(csr, core.edges, core.k));
   EXPECT_EQ(core.k, 8u);
 
-  CoreHierarchy h = BuildCoreHierarchy(g, r);
+  CoreHierarchy h = BuildCoreHierarchy(csr, r);
   uint32_t leaf = h.LeafOf(seed);
   ASSERT_NE(leaf, UINT32_MAX);
   EXPECT_EQ(h.nodes[leaf].k, 8u);
@@ -105,10 +106,10 @@ TEST(IntegrationTest, ThreeEstimatorsAgreeOnDatasets) {
   // which the Triangle K-Core proxy lower-bounds).
   Dataset ds = MakeDataset("synthetic", 77);
   const Graph& g = ds.graph;
-  TriangleCoreResult cores = ComputeTriangleCores(g);
+  TriangleCoreResult cores = ComputeTriangleCores(CsrGraph(g));
   DnGraphResult tri = TriDn(g);
   DnGraphResult bi = BiTriDn(g);
-  CsvResult csv = ComputeCsv(g);
+  CsvResult csv = ComputeCsv(CsrGraph(g));
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_EQ(cores.kappa[e], tri.lambda[e]);
     EXPECT_EQ(cores.kappa[e], bi.lambda[e]);
@@ -133,7 +134,7 @@ TEST(IntegrationTest, DualViewPlusEventsTellTheSameStory) {
 
   EventDetectorOptions opt;
   opt.min_clique_size = 6;
-  auto events = DetectEvents(old_g, dual.new_graph, opt);
+  auto events = DetectEvents(old_g, dual.new_graph.ThawPreservingIds(), opt);
   ASSERT_FALSE(events.empty());
   const CliqueEvent* bridge = nullptr;
   for (const auto& ev : events) {
@@ -157,7 +158,7 @@ TEST(IntegrationTest, DatasetChurnTableThreePipeline) {
   Rng rng(6);
   size_t churn = std::max<size_t>(1, ds.graph.NumEdges() / 200);
   auto events = RandomChurn(ds.graph, churn, churn, rng);
-  DynamicTriangleCore dyn(ds.graph);
+  DynamicTriangleCore dyn{DeltaCsr(ds.graph)};
   UpdateStats stats = dyn.ApplyEvents(events);
   TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge&) {

@@ -11,7 +11,7 @@ namespace tkc {
 namespace {
 
 void ExpectUniformKappa(const Graph& g, uint32_t expected) {
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   g.ForEachEdge([&](EdgeId e, const Edge& edge) {
     EXPECT_EQ(r.kappa[e], expected)
         << "edge (" << edge.u << "," << edge.v << ")";
@@ -84,7 +84,7 @@ TEST(KnownFamiliesTest, OctahedronIsK2x3) {
   g.RemoveEdge(2, 3);
   g.RemoveEdge(4, 5);
   ExpectUniformKappa(g, 2);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   EXPECT_EQ(r.triangle_count, 8u);
 }
 
@@ -104,7 +104,7 @@ TEST(KnownFamiliesTest, TwoCliquesSharingAVertex) {
   Graph g(11);
   PlantClique(g, {0, 1, 2, 3, 4, 5});
   PlantClique(g, {5, 6, 7, 8, 9, 10});
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   EXPECT_EQ(r.kappa[g.FindEdge(0, 1)], 4u);
   EXPECT_EQ(r.kappa[g.FindEdge(6, 7)], 4u);
   EXPECT_EQ(r.kappa[g.FindEdge(5, 0)], 4u);

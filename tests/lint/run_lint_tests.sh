@@ -41,11 +41,13 @@ expect_hit TKC-L030 "bad.cc"        # Bad.Span_Name
 expect_hit TKC-L040 "bad_guard.h"   # WRONG_GUARD_H
 expect_hit TKC-L050 "bad.cc"        # bare escape hatch
 expect_hit TKC-L060 "bad.cc"        # stray <immintrin.h> + intrinsic
+expect_hit TKC-L070 "bad_twin.h"    # Analyze(const Graph&) twin
 
 # The clean fixture file must produce no violations: its documented
 # metrics (exact + dynamic prefix), canonical span name, justified escape
 # hatch, and suppressed singleton must all pass.
 grep -q "good\.cc" "$out" && fail "good.cc tripped a rule: $(grep good.cc "$out")"
+grep -q "good\.h" "$out" && fail "good.h tripped a rule: $(grep good.h "$out")"
 
 # The allow() suppression in good.cc must be counted, not silent.
 grep -q "1 suppressed" "$out" \
@@ -62,7 +64,8 @@ assert doc["suppressed"] == 1, doc["suppressed"]
 assert doc["files_scanned"] >= 3
 rules = {v["rule"] for v in doc["violations"]}
 expected = {"TKC-L001", "TKC-L002", "TKC-L010", "TKC-L020",
-            "TKC-L030", "TKC-L040", "TKC-L050", "TKC-L060"}
+            "TKC-L030", "TKC-L040", "TKC-L050", "TKC-L060",
+            "TKC-L070"}
 assert expected <= rules, expected - rules
 for v in doc["violations"]:
     assert v["file"] and v["line"] >= 1 and v["message"], v
@@ -89,7 +92,7 @@ EOF
 
 python3 "$lint" --list-rules >"$tmpdir/rules.out"
 for rule in TKC-L001 TKC-L002 TKC-L010 TKC-L020 TKC-L030 TKC-L040 \
-            TKC-L050 TKC-L060; do
+            TKC-L050 TKC-L060 TKC-L070; do
   grep -q "^$rule" "$tmpdir/rules.out" || fail "--list-rules omits $rule"
 done
 

@@ -418,7 +418,7 @@ TEST(TimelineTest, ParallelForTracksAreDeterministicAcrossRuns) {
     recorder.Start();
     ParallelFor(kThreads, kItems, [](int, size_t begin, size_t end) {
       volatile uint64_t sink = 0;
-      for (size_t i = begin; i < end; ++i) sink += i;
+      for (size_t i = begin; i < end; ++i) sink = sink + i;
     });
     recorder.Stop();
     // (track name, event count) in exported tid order.
@@ -453,7 +453,7 @@ TEST(PerfCountersTest, DegradesGracefullyOrReads) {
     EXPECT_NE(group.counter_mask(), 0u);
     PerfSample a = group.Read();
     volatile uint64_t sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += static_cast<uint64_t>(i);
+    for (int i = 0; i < 100000; ++i) sink = sink + static_cast<uint64_t>(i);
     PerfSample b = group.Read();
     EXPECT_TRUE(a.available);
     EXPECT_GE(b.cycles, a.cycles);

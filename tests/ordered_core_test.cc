@@ -10,7 +10,7 @@ namespace tkc {
 namespace {
 
 ::testing::AssertionResult MatchesStatic(const OrderedDynamicCore& dyn) {
-  TriangleCoreResult fresh = ComputeTriangleCores(dyn.graph());
+  TriangleCoreResult fresh = ComputeTriangleCores(CsrGraph(dyn.graph()));
   bool ok = true;
   ::testing::AssertionResult result = ::testing::AssertionSuccess();
   dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
@@ -131,7 +131,7 @@ TEST_P(OrderedMatchesEverything, AfterEveryMutation) {
     }
   }
   OrderedDynamicCore ordered(base);
-  DynamicTriangleCore batch(base);
+  DynamicTriangleCore batch{DeltaCsr(base)};
 
   for (int step = 0; step < p.steps; ++step) {
     const Graph& g = ordered.graph();

@@ -30,6 +30,7 @@ constexpr TriangleStorageMode kModes[] = {
 // thread count and mode, and the result must be internally consistent.
 void ExpectMatchesOracle(const Graph& g, const char* where) {
   const std::vector<uint32_t> oracle = NaiveTriangleCores(g);
+  const CsrGraph csr(g);
   for (TriangleStorageMode mode : kModes) {
     for (int threads : {1, 2, 4, 7}) {
       AnalysisContext ctx(g, threads);
@@ -43,7 +44,7 @@ void ExpectMatchesOracle(const Graph& g, const char* where) {
         max_kappa = std::max(max_kappa, oracle[e]);
       });
       EXPECT_EQ(r.max_kappa, max_kappa) << where;
-      EXPECT_EQ(r.triangle_count, CountTriangles(g)) << where;
+      EXPECT_EQ(r.triangle_count, CountTriangles(csr)) << where;
       EXPECT_EQ(r.peel_sequence.size(), g.NumEdges()) << where;
       // order is the inverse of peel_sequence.
       for (size_t i = 0; i < r.peel_sequence.size(); ++i) {
@@ -55,7 +56,7 @@ void ExpectMatchesOracle(const Graph& g, const char* where) {
                   r.kappa[r.peel_sequence[i]])
             << where;
       }
-      verify::VerifyReport cert = verify::CheckKappaCertificate(g, r.kappa);
+      verify::VerifyReport cert = verify::CheckKappaCertificate(csr, r.kappa);
       EXPECT_TRUE(cert.AllPassed())
           << where << ": " << cert.FirstFailure()->name;
     }
@@ -158,14 +159,13 @@ TEST(ParallelPeelTest, AllOverloadsAgreeInBothModesAtEveryThreadCount) {
   auto& frontier = obs::MetricsRegistry::Global().GetHistogram(
       "peel.frontier_edges");
 
+  const CsrGraph csr(g);
   const TriangleCoreResult want =
-      ComputeTriangleCores(g, TriangleStorageMode::kRecomputeTriangles);
+      ComputeTriangleCores(csr, TriangleStorageMode::kRecomputeTriangles);
   EXPECT_GE(frontier.Max(), 2048u);
   for (TriangleStorageMode mode : kModes) {
     const bool store = mode == TriangleStorageMode::kStoreTriangles;
-    ExpectSameResult(ComputeTriangleCores(g, mode), want,
-                     store ? "Graph store" : "Graph recompute");
-    ExpectSameResult(ComputeTriangleCores(CsrGraph(g), mode), want,
+    ExpectSameResult(ComputeTriangleCores(csr, mode), want,
                      store ? "CsrGraph store" : "CsrGraph recompute");
     ExpectSameResult(ComputeTriangleCores(DeltaCsr(g), mode), want,
                      store ? "DeltaCsr store" : "DeltaCsr recompute");
@@ -203,7 +203,7 @@ TEST(ParallelPeelTest, EmitsRoundAndFrontierHistograms) {
   const uint64_t frontier_before = frontier.Count();
   Graph g(6);
   PlantClique(g, {0, 1, 2, 3, 4, 5});
-  ComputeTriangleCores(g);
+  ComputeTriangleCores(CsrGraph(g));
   // One level (κ = 4 everywhere) peeled in one round of 15 edges.
   EXPECT_EQ(rounds.Count(), rounds_before + 1);
   EXPECT_EQ(frontier.Count(), frontier_before + 1);

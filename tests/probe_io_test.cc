@@ -20,25 +20,26 @@ namespace {
 
 TEST(CliqueProbeTest, TrivialGraphs) {
   Graph empty;
-  EXPECT_TRUE(CoreGuidedMaxClique(empty).empty());
+  EXPECT_TRUE(CoreGuidedMaxClique(CsrGraph(empty)).empty());
   Graph lone(3);
-  EXPECT_EQ(CoreGuidedMaxClique(lone).size(), 1u);
+  EXPECT_EQ(CoreGuidedMaxClique(CsrGraph(lone)).size(), 1u);
   Graph pair(2);
   pair.AddEdge(0, 1);
-  EXPECT_EQ(CoreGuidedMaxClique(pair).size(), 2u);
+  EXPECT_EQ(CoreGuidedMaxClique(CsrGraph(pair)).size(), 2u);
   Graph cycle = CycleGraph(7);  // triangle-free: best is an edge
-  EXPECT_EQ(CoreGuidedMaxClique(cycle).size(), 2u);
+  EXPECT_EQ(CoreGuidedMaxClique(CsrGraph(cycle)).size(), 2u);
 }
 
 TEST(CliqueProbeTest, FindsPlantedClique) {
   Rng rng(1);
   Graph g = GnmRandom(400, 800, rng);
   auto members = PlantRandomClique(g, 12, rng);
+  const CsrGraph csr(g);
   CliqueProbeStats stats;
-  auto found = CoreGuidedMaxClique(g, 0, &stats);
+  auto found = CoreGuidedMaxClique(csr, 0, &stats);
   EXPECT_TRUE(stats.exact);
   EXPECT_EQ(found, members);
-  EXPECT_TRUE(IsClique(g, found));
+  EXPECT_TRUE(IsClique(csr, found));
   // The probe must have searched a sliver of the graph.
   EXPECT_LT(stats.vertices_searched, g.NumVertices() / 4);
 }
@@ -47,10 +48,11 @@ TEST(CliqueProbeTest, MatchesExactSearchOnRandomGraphs) {
   for (uint64_t seed : {2, 3, 4, 5}) {
     Rng rng(seed);
     Graph g = ErdosRenyi(60, 0.2, rng);
-    auto guided = CoreGuidedMaxClique(g);
+    const CsrGraph csr(g);
+    auto guided = CoreGuidedMaxClique(csr);
     auto exact = MaxClique(g);
     EXPECT_EQ(guided.size(), exact.size()) << "seed " << seed;
-    EXPECT_TRUE(IsClique(g, guided));
+    EXPECT_TRUE(IsClique(csr, guided));
   }
 }
 
@@ -58,7 +60,7 @@ TEST(CliqueProbeTest, TwoCliquesPicksLarger) {
   Graph g(30);
   PlantClique(g, {0, 1, 2, 3, 4, 5, 6});
   PlantClique(g, {10, 11, 12, 13, 14});
-  auto found = CoreGuidedMaxClique(g);
+  auto found = CoreGuidedMaxClique(CsrGraph(g));
   EXPECT_EQ(found.size(), 7u);
   EXPECT_EQ(found[0], 0u);
 }
@@ -68,8 +70,8 @@ TEST(CliqueProbeTest, TwoCliquesPicksLarger) {
 TEST(DnExtractTest, CliqueIsLocallyMaximal) {
   Graph g(10);
   PlantClique(g, {0, 1, 2, 3, 4});
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  auto cands = ExtractDnGraphs(g, r.kappa);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
+  auto cands = ExtractDnGraphs(CsrGraph(g), r.kappa);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].lambda, 3u);
   EXPECT_EQ(cands[0].vertices.size(), 5u);
@@ -82,8 +84,8 @@ TEST(DnExtractTest, Figure5VertexNotCovered) {
   Graph g(5);
   PlantClique(g, {1, 2, 3, 4});  // BCDE
   g.AddEdge(0, 1);               // A - B only
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  auto covered = DnGraphCoverage(g, r.kappa);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
+  auto covered = DnGraphCoverage(CsrGraph(g), r.kappa);
   EXPECT_FALSE(covered[0]);
   for (VertexId v = 1; v < 5; ++v) EXPECT_TRUE(covered[v]);
 }
@@ -105,8 +107,8 @@ TEST(DnExtractTest, GrowableCandidateIsNotMaximal) {
   PlantClique(g, {0, 1, 2, 3});
   // Vertex 4 adjacent to all four: K5 arises, so the peak is the K5.
   for (VertexId v = 0; v < 4; ++v) g.AddEdge(4, v);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  auto cands = ExtractDnGraphs(g, r.kappa);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
+  auto cands = ExtractDnGraphs(CsrGraph(g), r.kappa);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].vertices.size(), 5u);
   EXPECT_TRUE(cands[0].locally_maximal);
@@ -118,8 +120,8 @@ TEST(DnExtractTest, NestedLevelsEmitPeaksOnly) {
   Graph g(10);
   PlantClique(g, {0, 1, 2, 3, 4, 5});
   PlantClique(g, {4, 5, 6, 7});
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  auto cands = ExtractDnGraphs(g, r.kappa);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
+  auto cands = ExtractDnGraphs(CsrGraph(g), r.kappa);
   ASSERT_EQ(cands.size(), 2u);
   EXPECT_EQ(cands[0].lambda, 2u);
   EXPECT_EQ(cands[0].vertices.size(), 8u);
@@ -135,7 +137,7 @@ TEST(CsrDecompositionTest, MatchesDynamicPathExactly) {
     Graph g = PowerLawCluster(200, 3, 0.6, rng);
     g.RemoveEdgeById(g.EdgeIds()[3]);  // leave a hole in the id space
     CsrGraph csr(g);
-    TriangleCoreResult a = ComputeTriangleCores(g);
+    TriangleCoreResult a = ComputeTriangleCores(CsrGraph(g));
     TriangleCoreResult b = ComputeTriangleCores(csr);
     EXPECT_EQ(a.kappa, b.kappa);
     EXPECT_EQ(a.order, b.order);
@@ -152,7 +154,7 @@ TEST(CsrDecompositionTest, MatchesDynamicPathExactly) {
 TEST(ResultIoTest, RoundTrip) {
   Rng rng(10);
   Graph g = PowerLawCluster(80, 3, 0.6, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   std::stringstream buf;
   WriteDecomposition(g, r, buf);
   auto back = ReadDecomposition(g, buf);
@@ -166,7 +168,7 @@ TEST(ResultIoTest, RoundTrip) {
 
 TEST(ResultIoTest, RejectsWrongGraph) {
   Graph g = CompleteGraph(5);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   std::stringstream buf;
   WriteDecomposition(g, r, buf);
   Graph other = CompleteGraph(6);
@@ -175,7 +177,7 @@ TEST(ResultIoTest, RejectsWrongGraph) {
 
 TEST(ResultIoTest, RejectsCorruptedPayload) {
   Graph g = CompleteGraph(4);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   {
     std::stringstream buf("# tkc-decomposition 6 2 4\n0 1 2 0\n0 1 2 1\n");
     EXPECT_FALSE(ReadDecomposition(g, buf).has_value());  // duplicate edge
@@ -196,7 +198,7 @@ TEST(ResultIoTest, RejectsCorruptedPayload) {
 
 TEST(ResultIoTest, FileRoundTrip) {
   Graph g = PaperFigure2Graph();
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   std::string path = ::testing::TempDir() + "/tkc_decomp.txt";
   ASSERT_TRUE(WriteDecompositionFile(g, r, path));
   auto back = ReadDecompositionFile(g, path);

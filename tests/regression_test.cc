@@ -23,7 +23,7 @@ struct Fingerprint {
 };
 
 Fingerprint ComputeFingerprint(const Graph& g) {
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   Fingerprint fp{g.NumEdges(), r.triangle_count, r.max_kappa, 0};
   g.ForEachEdge([&](EdgeId e, const Edge&) { fp.kappa_sum += r.kappa[e]; });
   return fp;
@@ -81,8 +81,8 @@ TEST(RegressionTest, PeelOrderIsCanonical) {
   // ties are resolved by construction order, which is id order here).
   Rng rng(7);
   Graph g = PowerLawCluster(100, 3, 0.6, rng);
-  TriangleCoreResult a = ComputeTriangleCores(g);
-  TriangleCoreResult b = ComputeTriangleCores(g);
+  TriangleCoreResult a = ComputeTriangleCores(CsrGraph(g));
+  TriangleCoreResult b = ComputeTriangleCores(CsrGraph(g));
   EXPECT_EQ(a.peel_sequence, b.peel_sequence);
   EXPECT_EQ(a.order, b.order);
 }

@@ -15,10 +15,10 @@ namespace {
 DensityPlot MakePlot() {
   Graph g(20);
   PlantClique(g, {0, 1, 2, 3, 4, 5});
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   std::vector<uint32_t> co(g.EdgeCapacity(), 0);
   g.ForEachEdge([&](EdgeId e, const Edge&) { co[e] = r.kappa[e] + 2; });
-  return BuildDensityPlot(g, co);
+  return BuildDensityPlot(CsrGraph(g), co);
 }
 
 TEST(AsciiChartTest, EmptyPlot) {

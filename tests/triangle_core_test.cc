@@ -21,7 +21,7 @@ std::vector<uint32_t> LiveKappas(const Graph& g,
 
 TEST(TriangleCoreTest, EmptyGraph) {
   Graph g;
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   EXPECT_EQ(r.max_kappa, 0u);
   EXPECT_EQ(r.triangle_count, 0u);
   EXPECT_TRUE(r.peel_sequence.empty());
@@ -29,7 +29,7 @@ TEST(TriangleCoreTest, EmptyGraph) {
 
 TEST(TriangleCoreTest, TriangleFreeGraphAllZero) {
   Graph g = CycleGraph(12);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   EXPECT_EQ(r.max_kappa, 0u);
   g.ForEachEdge([&](EdgeId e, const Edge&) { EXPECT_EQ(r.kappa[e], 0u); });
 }
@@ -38,7 +38,7 @@ TEST(TriangleCoreTest, PaperFigure2Example) {
   // The worked example of Section IV-A: κ(AB) = κ(AC) = 1, all other edges
   // κ = 2.
   Graph g = PaperFigure2Graph();
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   constexpr VertexId kA = 0, kB = 1, kC = 2, kD = 3, kE = 4;
   EXPECT_EQ(r.kappa[g.FindEdge(kA, kB)], 1u);
   EXPECT_EQ(r.kappa[g.FindEdge(kA, kC)], 1u);
@@ -57,7 +57,7 @@ TEST(TriangleCoreTest, CliqueHasKappaNMinus2) {
   // number n-2.
   for (VertexId n : {3, 4, 5, 8, 12}) {
     Graph g = CompleteGraph(n);
-    TriangleCoreResult r = ComputeTriangleCores(g);
+    TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
     EXPECT_EQ(r.max_kappa, n - 2u) << "n=" << n;
     g.ForEachEdge([&](EdgeId e, const Edge&) {
       EXPECT_EQ(r.kappa[e], n - 2u);
@@ -68,8 +68,9 @@ TEST(TriangleCoreTest, CliqueHasKappaNMinus2) {
 TEST(TriangleCoreTest, KappaNeverExceedsSupport) {
   Rng rng(31);
   Graph g = PowerLawCluster(200, 3, 0.7, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  auto support = ComputeEdgeSupports(g);
+  const CsrGraph csr(g);
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  auto support = ComputeEdgeSupports(csr);
   g.ForEachEdge([&](EdgeId e, const Edge&) {
     EXPECT_LE(r.kappa[e], support[e]);
   });
@@ -78,7 +79,7 @@ TEST(TriangleCoreTest, KappaNeverExceedsSupport) {
 TEST(TriangleCoreTest, PeelSequenceMonotoneAndOrdersConsistent) {
   Rng rng(37);
   Graph g = ErdosRenyi(60, 0.15, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   ASSERT_EQ(r.peel_sequence.size(), g.NumEdges());
   uint32_t prev = 0;
   for (size_t i = 0; i < r.peel_sequence.size(); ++i) {
@@ -92,10 +93,11 @@ TEST(TriangleCoreTest, PeelSequenceMonotoneAndOrdersConsistent) {
 TEST(TriangleCoreTest, StorageModesAgree) {
   for (uint64_t seed : {1, 7, 19}) {
     Rng rng(seed);
-    Graph g = PowerLawCluster(150, 3, 0.6, rng);
-    auto stored = ComputeTriangleCores(g, TriangleStorageMode::kStoreTriangles);
+    const CsrGraph csr(PowerLawCluster(150, 3, 0.6, rng));
+    auto stored =
+        ComputeTriangleCores(csr, TriangleStorageMode::kStoreTriangles);
     auto recomputed =
-        ComputeTriangleCores(g, TriangleStorageMode::kRecomputeTriangles);
+        ComputeTriangleCores(csr, TriangleStorageMode::kRecomputeTriangles);
     EXPECT_EQ(stored.kappa, recomputed.kappa) << "seed=" << seed;
     EXPECT_EQ(stored.max_kappa, recomputed.max_kappa);
     EXPECT_EQ(stored.triangle_count, recomputed.triangle_count);
@@ -104,16 +106,16 @@ TEST(TriangleCoreTest, StorageModesAgree) {
 
 TEST(TriangleCoreTest, Theorem1HoldsOnDecomposition) {
   Rng rng(43);
-  Graph g = PlantedPartition(4, 12, 0.5, 0.03, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  EXPECT_TRUE(VerifyTheorem1(g, r.kappa));
+  const CsrGraph csr(PlantedPartition(4, 12, 0.5, 0.03, rng));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  EXPECT_TRUE(VerifyTheorem1(csr, r.kappa));
 }
 
 TEST(TriangleCoreTest, PlantedCliqueDominatesBackground) {
   Rng rng(47);
   Graph g = GnmRandom(300, 600, rng);
   auto members = PlantRandomClique(g, 12, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   // Every intra-clique edge reaches at least κ = 10 (= 12-2).
   for (size_t i = 0; i < members.size(); ++i) {
     for (size_t j = i + 1; j < members.size(); ++j) {
@@ -129,14 +131,14 @@ TEST(TriangleCoreTest, DeadEdgeIdsKeepZeroKappaAndInvalidOrder) {
   Graph g = CompleteGraph(5);
   EdgeId dead = g.FindEdge(0, 1);
   g.RemoveEdgeById(dead);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   EXPECT_EQ(r.kappa[dead], 0u);
   EXPECT_EQ(r.order[dead], kInvalidOrder);
 }
 
 TEST(TriangleCoreTest, CocliqueSizeIsKappaPlus2) {
   Graph g = CompleteGraph(6);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   EdgeId e = g.FindEdge(0, 1);
   EXPECT_EQ(r.CocliqueSize(e), 6u);
 }
@@ -170,7 +172,7 @@ Graph MakeModelGraph(const SweepParam& p) {
 
 TEST_P(TriangleCoreMatchesNaive, Decomposition) {
   Graph g = MakeModelGraph(GetParam());
-  TriangleCoreResult fast = ComputeTriangleCores(g);
+  TriangleCoreResult fast = ComputeTriangleCores(CsrGraph(g));
   std::vector<uint32_t> slow = NaiveTriangleCores(g);
   EXPECT_EQ(LiveKappas(g, fast.kappa), LiveKappas(g, slow));
 }

@@ -77,13 +77,13 @@ TEST(VerifyTest, FullVerificationWithEventsRunsReplayOracles) {
 // below is computable by hand.
 
 TEST(VerifyTest, SoundnessCatchesInflatedKappa) {
-  Graph g = CompleteGraph(4);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  const CsrGraph csr(CompleteGraph(4));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
   ASSERT_EQ(r.max_kappa, 2u);
 
   std::vector<uint32_t> kappa = r.kappa;
   kappa[3] += 1;  // claim edge 3 reaches level 3: off-by-one corruption
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(csr, kappa);
 
   EXPECT_FALSE(report.AllPassed());
   const InvariantCheck* soundness = report.Find("kappa.soundness");
@@ -107,7 +107,7 @@ TEST(VerifyTest, MaximalityCatchesDeflatedKappa) {
   // Uniform deflation: internally consistent at level 1 (soundness holds),
   // but K4 is a 2-triangle-core, so maximality must object.
   std::vector<uint32_t> kappa(g.EdgeCapacity(), 1);
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(CsrGraph(g), kappa);
 
   EXPECT_FALSE(report.AllPassed());
   EXPECT_TRUE(report.Find("kappa.soundness")->passed);
@@ -124,14 +124,15 @@ TEST(VerifyTest, MaximalityCatchesDeflatedKappa) {
 
 TEST(VerifyTest, ShapeCatchesDirtyTombstone) {
   Graph g = CompleteGraph(4);
-  TriangleCoreResult r = ComputeTriangleCores(g);
+  TriangleCoreResult r = ComputeTriangleCores(CsrGraph(g));
   const EdgeId dead = g.FindEdge(0, 1);
   g.RemoveEdge(0, 1);
-  std::vector<uint32_t> kappa = ComputeTriangleCores(g).kappa;
+  const CsrGraph csr(g);
+  std::vector<uint32_t> kappa = ComputeTriangleCores(csr).kappa;
   ASSERT_EQ(kappa[dead], 0u);
   kappa[dead] = r.kappa[dead];  // stale value survives the removal
 
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(csr, kappa);
   const InvariantCheck* shape = report.Find("kappa.shape");
   ASSERT_NE(shape, nullptr);
   EXPECT_FALSE(shape->passed);
@@ -172,24 +173,24 @@ TEST(VerifyTest, MirrorCatchesStaleCsrSnapshot) {
 
 TEST(VerifyTest, NestingCatchesTamperedHierarchy) {
   Rng rng(13);
-  Graph g = PowerLawCluster(80, 3, 0.6, rng);
-  TriangleCoreResult r = ComputeTriangleCores(g);
-  CoreHierarchy h = BuildCoreHierarchy(g, r);
+  const CsrGraph csr(PowerLawCluster(80, 3, 0.6, rng));
+  TriangleCoreResult r = ComputeTriangleCores(csr);
+  CoreHierarchy h = BuildCoreHierarchy(csr, r);
   ASSERT_FALSE(h.nodes.empty());
-  EXPECT_TRUE(CheckHierarchyNesting(h, g, r).passed);
+  EXPECT_TRUE(CheckHierarchyNesting(h, csr, r).passed);
 
   CoreHierarchy tampered = h;
   tampered.nodes[0].subtree_edges += 1;
-  EXPECT_FALSE(CheckHierarchyNesting(tampered, g, r).passed);
+  EXPECT_FALSE(CheckHierarchyNesting(tampered, csr, r).passed);
 }
 
 // --- The machine-readable artifact names the exact fault ---------------
 
 TEST(VerifyTest, CounterexampleSurvivesIntoVerifyV1Json) {
-  Graph g = CompleteGraph(4);
-  std::vector<uint32_t> kappa = ComputeTriangleCores(g).kappa;
+  const CsrGraph csr(CompleteGraph(4));
+  std::vector<uint32_t> kappa = ComputeTriangleCores(csr).kappa;
   kappa[3] += 1;
-  VerifyReport report = CheckKappaCertificate(g, kappa);
+  VerifyReport report = CheckKappaCertificate(csr, kappa);
 
   const std::string json = report.ToJson().Dump();
   EXPECT_NE(json.find("\"schema\":\"tkc.verify.v1\""), std::string::npos);

@@ -128,6 +128,20 @@ run_one() {
     --json-out="$smoke_dir/replay.json" | tail -n 2
   "$build_dir/tools/json_check" "$smoke_dir/replay.json" \
     --require=schema,verified,update_stats
+  echo "== $sanitizer: update CLI =="
+  # The maintainer over DeltaCsr from both sources: text ingest freezes a
+  # fresh base, a --graph-cache hit seeds the overlay zero-copy from the
+  # loaded snapshot. Both must print the same rows and work summary.
+  "$build_dir/tools/tkc" update "$smoke_dir/g.txt" "$smoke_dir/events.txt" \
+    > "$smoke_dir/update_text.txt"
+  "$build_dir/tools/tkc" update "$smoke_dir/g.txt" "$smoke_dir/events.txt" \
+    --graph-cache="$smoke_dir/g.tkcg" > "$smoke_dir/update_cache.txt"
+  strip_seconds() { sed -E 's/ [a-z_]+_seconds=[^ ]*//g' "$1"; }
+  if ! diff <(strip_seconds "$smoke_dir/update_text.txt") \
+            <(strip_seconds "$smoke_dir/update_cache.txt"); then
+    echo "!! update --graph-cache output differs from text input" >&2
+    exit 1
+  fi
   rm -rf "$smoke_dir"
   echo "== $sanitizer: OK =="
 }

@@ -5,7 +5,8 @@ A fast, AST-lite (regex + line-state) pass enforcing the conventions that
 the compiler cannot: metric names stay documented, allocation goes through
 the counting hook, library code stays stream/rand-free, span names fit the
 snake.case registry and the timeline's inline buffers, headers carry their
-canonical include guard, and every thread-safety escape hatch is justified.
+canonical include guard, every thread-safety escape hatch is justified, and
+no analysis grows a `const Graph&` twin of its `const CsrGraph&` form.
 The rule catalog with examples lives in docs/static_analysis.md.
 
 Usage:
@@ -67,6 +68,12 @@ RULES = {
         "src/tkc/graph/intersect_simd.{h,cc} (ISA-specific code lives "
         "behind the kernel dispatch layer)",
     ),
+    "TKC-L070": (
+        "substrate-twin",
+        "a function declared in src/tkc/**/*.h with a const CsrGraph& "
+        "parameter must not also be declared with a const Graph& "
+        "parameter (Graph is the edge-list builder; freeze, then analyse)",
+    ),
 }
 NAME_TO_ID = {name: rid for rid, (name, _) in RULES.items()}
 
@@ -85,6 +92,7 @@ SIMD_ALLOWED_FILES = {
 }
 SIMD_INCLUDE_RE = re.compile(r"#include\s*<\w*intrin\.h>")
 SIMD_INTRINSIC_RE = re.compile(r"\b(?:_mm\d*_\w+|__m\d+[di]?)\b")
+CALL_OPEN_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 BANNED_RES = [
     (re.compile(r"std::rand\b"), "std::rand (use tkc/util/random.h)"),
     (re.compile(r"\btime\(\s*(nullptr|NULL|0)\s*\)"),
@@ -330,6 +338,39 @@ class Linter:
                         f"include guard is \"{got}\", expected "
                         f"\"{canonical}\" (or #pragma once)")
 
+    # --- TKC-L070: no const Graph& twin of a const CsrGraph& function ---
+
+    def check_substrate_twins(self, header_files):
+        """Collects every parenthesized parameter list in the headers and
+        flags a name declared once with `const CsrGraph&` (and no `const
+        Graph&`) and once with `const Graph&` (and no `const CsrGraph&`).
+        A single declaration taking both (a mirror audit) is not a twin."""
+        csr_names = set()
+        graph_decls = []  # (name, path, lines, lineno)
+        for path in header_files:
+            lines = path.read_text().splitlines()
+            code = "\n".join(strip_code(line) for line in lines)
+            for m in CALL_OPEN_RE.finditer(code):
+                depth, i = 1, m.end()
+                while i < len(code) and depth > 0:
+                    depth += {"(": 1, ")": -1}.get(code[i], 0)
+                    i += 1
+                params = code[m.end():i - 1]
+                takes_csr = "const CsrGraph&" in params
+                takes_graph = "const Graph&" in params
+                if takes_csr and not takes_graph:
+                    csr_names.add(m.group(1))
+                elif takes_graph and not takes_csr:
+                    lineno = code.count("\n", 0, m.start()) + 1
+                    graph_decls.append((m.group(1), path, lines, lineno))
+        for name, path, lines, lineno in graph_decls:
+            if name in csr_names:
+                self.report(
+                    "TKC-L070", path, lines, lineno,
+                    f"\"{name}\" is declared with both a const CsrGraph& "
+                    "and a const Graph& parameter; keep the CsrGraph form "
+                    "and let callers freeze")
+
     def run(self):
         src = self.root / "src"
         src_files = sorted(p for p in src.rglob("*")
@@ -337,6 +378,9 @@ class Linter:
         for path in src_files:
             self.check_file(path)
         self.check_metrics_sync(src_files)
+        self.check_substrate_twins(
+            [p for p in src_files if p.suffix == ".h"
+             and p.relative_to(src).parts[0] == "tkc"])
         return self.violations
 
 
