@@ -1,9 +1,8 @@
 // Ablation over the design choices Section IV discusses:
-//   (1) kStoreTriangles vs kRecomputeTriangles — the paper's trade-off for
-//       graphs whose triangle set does not fit in memory (store is faster,
-//       recompute is O(1) extra memory);
-//   (2) per-update locality of the dynamic algorithm vs update cost — how
-//       the touched-edge count (Rule 0's bound) tracks the churn level.
+//   (1) per-update locality of the dynamic algorithm vs update cost — how
+//       the touched-edge count (Rule 0's bound) tracks the churn level;
+//   (2) update granularity — the batch-level updater vs the per-triangle
+//       AddToCore/DelFromCore bookkeeping of Algorithms 5-7.
 
 #include <cstdio>
 
@@ -20,42 +19,7 @@ namespace {
 int Run(int argc, char** argv) {
   BenchConfig cfg = ParseArgs(argc, argv);
   BenchReporter report("ablation_modes", cfg);
-  std::printf("=== Ablation 1: triangle storage mode in Algorithm 1 ===\n\n");
-  TablePrinter table({12, 12, 12, 12, 14, 14});
-  table.Row({"dataset", "|E|", "store(s)", "recompute(s)", "stored entries",
-             "extra MiB"});
-  table.Rule();
-  for (const char* name : {"ppi", "dblp", "astro", "epinions", "wiki"}) {
-    Dataset ds = MakeDataset(name, cfg.seed, cfg.size_factor);
-    const CsrGraph g(ds.graph);
-    Timer t;
-    TriangleCoreResult stored =
-        ComputeTriangleCores(g, TriangleStorageMode::kStoreTriangles);
-    double store_s = t.Seconds();
-    t.Restart();
-    TriangleCoreResult recomputed =
-        ComputeTriangleCores(g, TriangleStorageMode::kRecomputeTriangles);
-    double recompute_s = t.Seconds();
-    bool same = stored.kappa == recomputed.kappa;
-    // Each triangle is stored once per incident edge as a pair of EdgeIds.
-    uint64_t entries = 3 * stored.triangle_count;
-    double mib = entries * 2.0 * sizeof(EdgeId) / (1024.0 * 1024.0);
-    table.Row({name, FmtCount(g.NumEdges()), Fmt(store_s),
-               Fmt(recompute_s), FmtCount(entries), Fmt(mib, 1)});
-    report.AddRow(tkc::obs::JsonValue::Object()
-                      .Set("ablation", "storage_mode")
-                      .Set("dataset", name)
-                      .Set("edges", g.NumEdges())
-                      .Set("store_seconds", store_s)
-                      .Set("recompute_seconds", recompute_s)
-                      .Set("stored_entries", entries)
-                      .Set("extra_mib", mib)
-                      .Set("modes_agree", same));
-    if (!same) std::printf("  !! modes disagree on %s\n", name);
-  }
-  table.Rule();
-
-  std::printf("\n=== Ablation 2: locality of the dynamic update vs churn "
+  std::printf("=== Ablation 1: locality of the dynamic update vs churn "
               "===\n\n");
   TablePrinter t2({14, 12, 16, 18, 14});
   t2.Row({"churn %", "events", "update total(s)", "touched edges/event",
@@ -100,7 +64,7 @@ int Run(int argc, char** argv) {
   std::printf("\nTouched edges per event stays flat as churn grows — the\n"
               "Rule 0 region depends on local structure, not graph size.\n");
 
-  std::printf("\n=== Ablation 3: update granularity — batch levels vs "
+  std::printf("\n=== Ablation 2: update granularity — batch levels vs "
               "per-triangle bookkeeping ===\n\n");
   TablePrinter t3({14, 12, 16, 20});
   t3.Row({"dataset", "events", "batch updater(s)", "per-triangle(s)"});

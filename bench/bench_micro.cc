@@ -159,22 +159,10 @@ void BM_KCorePeel(benchmark::State& state) {
 }
 BENCHMARK(BM_KCorePeel)->Arg(1000)->Arg(10000)->Arg(50000);
 
-void BM_TriangleCorePeel_Store(benchmark::State& state) {
-  const CsrGraph g(MakeGraph(state.range(0)));
-  for (auto _ : state) {
-    auto r = ComputeTriangleCores(g, TriangleStorageMode::kStoreTriangles);
-    benchmark::DoNotOptimize(r.max_kappa);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.NumEdges()));
-}
-BENCHMARK(BM_TriangleCorePeel_Store)->Arg(1000)->Arg(10000)->Arg(50000);
-
 void BM_TriangleCorePeel_Recompute(benchmark::State& state) {
   const CsrGraph g(MakeGraph(state.range(0)));
   for (auto _ : state) {
-    auto r =
-        ComputeTriangleCores(g, TriangleStorageMode::kRecomputeTriangles);
+    auto r = ComputeTriangleCores(g);
     benchmark::DoNotOptimize(r.max_kappa);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -191,7 +179,7 @@ void BM_Peel_Serial(benchmark::State& state) {
   AnalysisContext ctx(g, /*threads=*/1);
   ctx.Supports();
   for (auto _ : state) {
-    auto r = ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
+    auto r = ComputeTriangleCores(ctx);
     benchmark::DoNotOptimize(r.max_kappa);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -206,9 +206,6 @@ std::optional<GraphSource> LoadGraphSource(const ParsedArgs& args,
 
 int CmdDecompose(const ParsedArgs& args, std::ostream& out,
                  std::ostream& err) {
-  TriangleStorageMode mode = args.Flag("mode", "recompute") == "store"
-                                 ? TriangleStorageMode::kStoreTriangles
-                                 : TriangleStorageMode::kRecomputeTriangles;
   const std::string relabel_text = args.Flag("relabel", "none");
   if (relabel_text != "none" && relabel_text != "degree") {
     err << "error: unknown --relabel '" << relabel_text << "'\n";
@@ -243,7 +240,7 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   } else {
     ctx.emplace(*src->graph);
   }
-  TriangleCoreResult r = ComputeTriangleCores(*ctx, mode);
+  TriangleCoreResult r = ComputeTriangleCores(*ctx);
   double seconds = t.Seconds();
   obs::Logger::Global().Info("decompose.done",
                              {{"edges", ctx->csr().NumEdges()},
@@ -457,13 +454,6 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   Graph& g = *src->graph;
 
   verify::VerifyOptions options;
-  const std::string mode = args.Flag("mode", "recompute");
-  if (mode != "recompute" && mode != "store") {
-    err << "error: --mode must be 'store' or 'recompute'\n";
-    return 2;
-  }
-  options.mode = mode == "store" ? TriangleStorageMode::kStoreTriangles
-                                 : TriangleStorageMode::kRecomputeTriangles;
   const int64_t check_every = args.FlagInt("check-every", 1);
   if (check_every < 1) {
     err << "error: --check-every must be >= 1\n";
@@ -819,8 +809,8 @@ void PrintUsage(std::ostream& err) {
   err << "usage: tkc <command> ... [--log-level=L] [--metrics-out=FILE]\n"
          "                         [--trace-out=FILE] [--threads=N]\n"
          "                         [--kernel=K] [--ingest-threads=N]\n"
-         "  decompose <edges.txt> [--mode=store|recompute]\n"
-         "            [--relabel=none|degree] [--graph-cache=FILE]\n"
+         "  decompose <edges.txt> [--relabel=none|degree]\n"
+         "            [--graph-cache=FILE]\n"
          "  kcore     <edges.txt> [--graph-cache=FILE]\n"
          "  stats     <edges.txt> [--graph-cache=FILE]\n"
          "  plot      <edges.txt> [--svg=FILE] [--width=N] [--height=N]\n"
@@ -831,8 +821,7 @@ void PrintUsage(std::ostream& err) {
          "            [--query-every=K] [--compact-edits=N] [--verify]\n"
          "            [--json-out=FILE] [--graph-cache=FILE]\n"
          "  verify    <edges.txt> [--events=FILE] [--check-every=N]\n"
-         "            [--mode=store|recompute] [--json-out=FILE]\n"
-         "            [--graph-cache=FILE]\n"
+         "            [--json-out=FILE] [--graph-cache=FILE]\n"
          "  templates <old.txt> <new.txt> --pattern=newform|bridge|newjoin\n"
          "  generate  <er|gnm|ba|plc|ws|rmat|geometric|collab> --out=FILE\n"
          "            [--n=N] [--m=M] [--p=P] [--seed=S]\n"
@@ -882,7 +871,7 @@ namespace {
 bool FlagsValid(const std::string& cmd, const ParsedArgs& parsed,
                 std::ostream& err) {
   static const std::map<std::string, std::vector<std::string>> kAllowed = {
-      {"decompose", {"mode", "relabel", "graph-cache"}},
+      {"decompose", {"relabel", "graph-cache"}},
       {"kcore", {"graph-cache"}},
       {"stats", {"graph-cache"}},
       {"plot", {"svg", "width", "height", "graph-cache"}},
@@ -891,7 +880,7 @@ bool FlagsValid(const std::string& cmd, const ParsedArgs& parsed,
       {"replay",
        {"events", "batch", "query-every", "compact-edits", "verify",
         "json-out", "graph-cache"}},
-      {"verify", {"events", "check-every", "mode", "json-out", "graph-cache"}},
+      {"verify", {"events", "check-every", "json-out", "graph-cache"}},
       {"templates", {"pattern", "min-size"}},
       {"generate", {"out", "seed", "n", "m", "p", "scale"}},
       {"cache", {"out", "relabel"}},

@@ -12,7 +12,7 @@ namespace tkc {
 /// argv adapter.
 ///
 /// Subcommands:
-///   decompose <edges.txt> [--mode=store|recompute]
+///   decompose <edges.txt> [--relabel=none|degree]
 ///       per-edge "u v kappa co_clique_size" plus a summary line
 ///   kcore <edges.txt>
 ///       per-vertex "v core"
@@ -26,9 +26,9 @@ namespace tkc {
 ///       events file: lines "+ u v" / "- u v"; applies them incrementally,
 ///       reports timings vs a from-scratch recompute and the new kappas
 ///   verify <edges.txt> [--events=FILE] [--check-every=N]
-///          [--mode=store|recompute] [--json-out=FILE]
-///       runs every invariant oracle (structure, κ-certificate, mode
-///       cross-check, nesting, dynamic replay when --events is given);
+///          [--json-out=FILE]
+///       runs every invariant oracle (structure, κ-certificate, nesting,
+///       dynamic replay when --events is given);
 ///       exit 0 when all hold, 3 on a violated invariant (with a minimal
 ///       counterexample), 2 on usage/I-O errors; --json-out writes the
 ///       tkc.verify.v1 artifact

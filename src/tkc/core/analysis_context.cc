@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/perf_counters.h"
 #include "tkc/obs/trace.h"
@@ -52,20 +53,6 @@ const std::vector<uint32_t>& AnalysisContext::Supports() const {
     max_support_ = max_support;
   }
   return *supports_;
-}
-
-const std::vector<Triangle>& AnalysisContext::Triangles() const {
-  MutexLock lock(mu_);
-  if (!triangles_.has_value()) {
-    TKC_SPAN("triangle_materialize");
-    obs::MetricsRegistry::Global()
-        .GetCounter("analysis.triangle_materializations")
-        .Add(1);
-    triangles_.emplace();
-    ForEachTriangle(*csr_,
-                    [&](const Triangle& t) { triangles_->push_back(t); });
-  }
-  return *triangles_;
 }
 
 uint64_t AnalysisContext::TriangleCount() const {

@@ -8,18 +8,15 @@
 
 #include "tkc/graph/csr.h"
 #include "tkc/graph/graph.h"
-#include "tkc/graph/triangle.h"
 #include "tkc/util/thread_annotations.h"
 
 namespace tkc {
 
 /// The unified read path for every static analysis: a frozen CsrGraph
-/// snapshot plus the derived data the algorithms share — the per-edge
-/// triangle-support array and (on demand) the materialized triangle list.
-/// Both are computed lazily, at most once per context, by the parallel
-/// support kernel; the `analysis.support_computations` /
-/// `analysis.triangle_materializations` counters make "computed once"
-/// checkable in tests.
+/// snapshot plus the per-edge triangle-support array the algorithms share,
+/// computed lazily, at most once per context, by the parallel support
+/// kernel; the `analysis.support_computations` counter makes "computed
+/// once" checkable in tests.
 ///
 /// EdgeIds are inherited from the source Graph unchanged, so κ/order/support
 /// arrays produced against a context index the Graph's edges directly.
@@ -53,9 +50,6 @@ class AnalysisContext {
   /// Computed on first use by the shared parallel kernel, then cached.
   const std::vector<uint32_t>& Supports() const;
 
-  /// All triangles, in ForEachTriangle order. Materialized on first use.
-  const std::vector<Triangle>& Triangles() const;
-
   /// Total triangle count (= sum of supports / 3); forces Supports().
   uint64_t TriangleCount() const;
 
@@ -66,14 +60,13 @@ class AnalysisContext {
  private:
   std::shared_ptr<const CsrGraph> csr_;
   int threads_;
-  // Lazy caches: filled at most once, under mu_. The references Supports()
-  // and Triangles() return outlive the critical section on purpose — once
-  // a cache is filled it is never mutated again, so post-initialization
-  // readers need no lock (the fill happens-before the return that handed
-  // them the reference).
+  // Lazy cache: filled at most once, under mu_. The reference Supports()
+  // returns outlives the critical section on purpose — once the cache is
+  // filled it is never mutated again, so post-initialization readers need
+  // no lock (the fill happens-before the return that handed them the
+  // reference).
   mutable Mutex mu_;
   mutable std::optional<std::vector<uint32_t>> supports_ TKC_GUARDED_BY(mu_);
-  mutable std::optional<std::vector<Triangle>> triangles_ TKC_GUARDED_BY(mu_);
   mutable uint64_t triangle_count_ TKC_GUARDED_BY(mu_) = 0;
   mutable uint32_t max_support_ TKC_GUARDED_BY(mu_) = 0;
 };

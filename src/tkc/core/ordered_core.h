@@ -26,8 +26,9 @@ namespace tkc {
 ///    realize e's maximum core, each respecting Theorem 1.
 ///
 /// Both maintainers converge to the same κ as Algorithm 1 (enforced by the
-/// differential test suite); this one trades a little speed for the richer
-/// queryable state, mirroring the paper's store-triangles mode.
+/// differential test suite); this one trades a little speed and per-edge
+/// apex lists for the richer queryable state. It is the only component
+/// that keeps triangles per edge — Algorithm 1 always recomputes them.
 class OrderedDynamicCore {
  public:
   explicit OrderedDynamicCore(Graph graph);

@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "tkc/core/analysis_context.h"
 #include "tkc/graph/delta_csr.h"
@@ -25,11 +24,6 @@
 namespace tkc {
 
 namespace {
-
-// Per-edge lists of the two partner edges of each incident triangle, the
-// kStoreTriangles representation.
-using StoredTriangleLists =
-    std::vector<std::vector<std::pair<EdgeId, EdgeId>>>;
 
 // Edge lifecycle within the round loop. `state` is written only between
 // rounds, and the pool's fork/join barriers order those writes before the
@@ -62,16 +56,14 @@ uint64_t Decrement(std::atomic<uint32_t>* support, EdgeId target, uint32_t k,
 // Steps 7-18 of Algorithm 1, the one peel behind every entry point, in the
 // round-synchronous form of the PKT scheme: levels k ascend, and within a
 // level the frontier — unpeeled edges whose κ̃ has reached k — peels in
-// rounds until the level drains. κ̃ starts at `initial_support`;
-// `triangles_on(e, fn)` calls fn(e1, e2) with the two partner edges of every
-// triangle on e, whether recomputed or stored. Rounds of at least
-// kSerialRoundCutoff edges are split over `threads` workers; the result is
-// the same for every thread count and every triangle source.
-template <typename GraphT, typename TrianglesOn>
+// rounds until the level drains. κ̃ starts at `initial_support`; each
+// peeled edge re-intersects its endpoints' adjacency to find its triangles.
+// Rounds of at least kSerialRoundCutoff edges are split over `threads`
+// workers; the result is the same for every thread count.
+template <typename GraphT>
 void PeelRoundSynchronous(const GraphT& g,
                           const std::vector<uint32_t>& initial_support,
-                          int threads, const TrianglesOn& triangles_on,
-                          TriangleCoreResult& result) {
+                          int threads, TriangleCoreResult& result) {
   TKC_SPAN_PERF("peel");
   const size_t cap = g.EdgeCapacity();
   result.kappa.assign(cap, 0);
@@ -170,7 +162,7 @@ void PeelRoundSynchronous(const GraphT& g,
         uint64_t& relax = worker_relax[static_cast<size_t>(worker)];
         for (size_t i = begin; i < end; ++i) {
           const EdgeId e = frontier[i];
-          triangles_on(e, [&](EdgeId p1, EdgeId p2) {
+          ForEachTriangleOnEdge(g, e, [&](VertexId, EdgeId p1, EdgeId p2) {
             const uint8_t s1 = state[p1];
             const uint8_t s2 = state[p2];
             if (s1 == kPeeled || s2 == kPeeled) return;
@@ -219,39 +211,10 @@ void PeelRoundSynchronous(const GraphT& g,
   registry.GetGauge("core.peel.max_kappa").Set(result.max_kappa);
 }
 
-// Runs the peel over the triangle source `mode` selects: the partner
-// lists in `stored`, or a fresh adjacency intersection per peeled edge.
-template <typename GraphT>
-void Peel(const GraphT& g, TriangleStorageMode mode,
-          const std::vector<uint32_t>& support,
-          const StoredTriangleLists& stored, int threads,
-          TriangleCoreResult& result) {
-  if (mode == TriangleStorageMode::kStoreTriangles) {
-    PeelRoundSynchronous(
-        g, support, threads,
-        [&](EdgeId e, const auto& fn) {
-          for (const auto& [e1, e2] : stored[e]) fn(e1, e2);
-        },
-        result);
-  } else {
-    PeelRoundSynchronous(
-        g, support, threads,
-        [&](EdgeId e, const auto& fn) {
-          const Edge edge = g.GetEdge(e);
-          IntersectNeighbors(g, edge.u, edge.v,
-                             [&](VertexId, EdgeId e1, EdgeId e2) {
-                               fn(e1, e2);
-                             });
-        },
-        result);
-  }
-}
-
 // Full Algorithm 1 over a self-contained graph: count supports inline
 // (steps 1-5), then peel on the calling thread.
 template <typename GraphT>
-TriangleCoreResult PeelTriangleCores(const GraphT& g,
-                                     TriangleStorageMode mode) {
+TriangleCoreResult PeelTriangleCores(const GraphT& g) {
   TKC_SPAN_MEM("core.decompose");
   const size_t cap = g.EdgeCapacity();
   TriangleCoreResult result;
@@ -259,27 +222,18 @@ TriangleCoreResult PeelTriangleCores(const GraphT& g,
   // Steps 1-5: κ̃(e) = number of triangles on e (the upper bound), each
   // triangle discovered once at its lexicographically smallest edge.
   std::vector<uint32_t> support(cap, 0);
-  StoredTriangleLists stored;
-  if (mode == TriangleStorageMode::kStoreTriangles) stored.resize(cap);
   {
     TKC_SPAN("support_count");
     uint64_t wedges = 0;
     g.ForEachEdge([&](EdgeId e, const Edge& edge) {
-      wedges += std::min(g.Degree(edge.u), g.Degree(edge.v));
-      IntersectNeighbors(g, edge.u, edge.v,
-                              [&](VertexId w, EdgeId uw, EdgeId vw) {
-                                if (w <= edge.v) return;
-                                ++support[e];
-                                ++support[uw];
-                                ++support[vw];
-                                ++result.triangle_count;
-                                if (mode ==
-                                    TriangleStorageMode::kStoreTriangles) {
-                                  stored[e].emplace_back(uw, vw);
-                                  stored[uw].emplace_back(e, vw);
-                                  stored[vw].emplace_back(e, uw);
-                                }
-                              });
+      wedges += IntersectNeighbors(g, edge.u, edge.v,
+                                   [&](VertexId w, EdgeId uw, EdgeId vw) {
+                                     if (w <= edge.v) return;
+                                     ++support[e];
+                                     ++support[uw];
+                                     ++support[vw];
+                                     ++result.triangle_count;
+                                   });
     });
     auto& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("triangle.wedges_examined").Add(wedges);
@@ -289,54 +243,36 @@ TriangleCoreResult PeelTriangleCores(const GraphT& g,
     TKC_SPAN_COUNTER("triangles_found", result.triangle_count);
   }
 
-  Peel(g, mode, support, stored, /*threads=*/1, result);
+  PeelRoundSynchronous(g, support, /*threads=*/1, result);
   return result;
 }
 
 }  // namespace
 
-TriangleCoreResult ComputeTriangleCores(const CsrGraph& g,
-                                        TriangleStorageMode mode) {
-  TriangleCoreResult result = PeelTriangleCores(g, mode);
+TriangleCoreResult ComputeTriangleCores(const CsrGraph& g) {
+  TriangleCoreResult result = PeelTriangleCores(g);
   TKC_VERIFY_L2(verify::CheckOrDie(
       verify::CheckKappaCertificate(g, result.kappa),
       "ComputeTriangleCores(CsrGraph)"));
   return result;
 }
 
-TriangleCoreResult ComputeTriangleCores(const DeltaCsr& g,
-                                        TriangleStorageMode mode) {
-  TriangleCoreResult result = PeelTriangleCores(g, mode);
+TriangleCoreResult ComputeTriangleCores(const DeltaCsr& g) {
+  TriangleCoreResult result = PeelTriangleCores(g);
   TKC_VERIFY_L2(verify::CheckOrDie(
       verify::CheckKappaCertificate(g, result.kappa),
       "ComputeTriangleCores(DeltaCsr)"));
   return result;
 }
 
-TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx,
-                                        TriangleStorageMode mode) {
+TriangleCoreResult ComputeTriangleCores(const AnalysisContext& ctx) {
   TKC_SPAN_MEM("core.decompose");
   const CsrGraph& g = ctx.csr();
   TriangleCoreResult result;
   // Initial κ̃ from the context's shared support cache (first use computes
   // it under a nested "support_count" span; later uses are free).
   result.triangle_count = ctx.TriangleCount();
-
-  // In store mode, the per-edge partner lists come from the context's
-  // materialized triangle list.
-  StoredTriangleLists stored;
-  if (mode == TriangleStorageMode::kStoreTriangles) {
-    const std::vector<Triangle>& triangles = ctx.Triangles();
-    TKC_SPAN("partner_fill");
-    stored.resize(g.EdgeCapacity());
-    for (const Triangle& t : triangles) {
-      stored[t.ab].emplace_back(t.ac, t.bc);
-      stored[t.ac].emplace_back(t.ab, t.bc);
-      stored[t.bc].emplace_back(t.ab, t.ac);
-    }
-  }
-
-  Peel(g, mode, ctx.Supports(), stored, ctx.threads(), result);
+  PeelRoundSynchronous(g, ctx.Supports(), ctx.threads(), result);
   TKC_VERIFY_L2(verify::CheckOrDie(
       verify::CheckKappaCertificate(g, result.kappa),
       "ComputeTriangleCores(AnalysisContext)"));

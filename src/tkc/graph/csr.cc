@@ -167,17 +167,6 @@ std::vector<uint32_t> CsrGraph::ComputeSupports(int threads) const {
   return ComputeEdgeSupports(*this, threads);
 }
 
-uint64_t CsrGraph::CountTriangles() const {
-  uint64_t count = 0;
-  ForEachEdge([&](EdgeId, const Edge& edge) {
-    ForEachCommonNeighbor(edge.u, edge.v,
-                          [&](VertexId w, EdgeId, EdgeId) {
-                            count += (w > edge.v);
-                          });
-  });
-  return count;
-}
-
 Graph CsrGraph::ToGraph() const {
   Graph g(NumVertices());
   ForEachEdge([&](EdgeId, const Edge& edge) { g.AddEdge(edge.u, edge.v); });

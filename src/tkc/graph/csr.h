@@ -219,9 +219,6 @@ class CsrGraph {
   /// result is identical for every thread count.
   std::vector<uint32_t> ComputeSupports(int threads = 1) const;
 
-  /// Total triangle count.
-  uint64_t CountTriangles() const;
-
   /// Thaws back into a mutable Graph (EdgeIds are NOT preserved — the
   /// result is a fresh graph with the same topology).
   Graph ToGraph() const;

@@ -313,9 +313,11 @@ uint64_t IntersectDispatchCount(IntersectKernel kernel, const Neighbor* ab,
 /// replacement for GraphT::ForEachCommonNeighbor on the hot paths
 /// (ForEachTriangleOnEdge, the peel's round loop). GraphT is
 /// anything exposing Neighbors(v) as a contiguous range of Neighbor
-/// (Graph, CsrGraph, DeltaCsr).
+/// (Graph, CsrGraph, DeltaCsr). Returns the intersection work done
+/// (IntersectStats::Total(), the unit of `triangle.wedges_examined`).
 template <typename GraphT, typename Fn>
-void IntersectNeighbors(const GraphT& g, VertexId u, VertexId v, Fn&& fn) {
+uint64_t IntersectNeighbors(const GraphT& g, VertexId u, VertexId v,
+                            Fn&& fn) {
   const auto& a = g.Neighbors(u);
   const auto& b = g.Neighbors(v);
   const Neighbor* ab = std::to_address(a.begin());
@@ -323,6 +325,7 @@ void IntersectNeighbors(const GraphT& g, VertexId u, VertexId v, Fn&& fn) {
   IntersectStats stats;
   IntersectDispatch(CurrentKernel(), ab, ab + a.size(), bb, bb + b.size(),
                     stats, std::forward<Fn>(fn));
+  return stats.Total();
 }
 
 }  // namespace tkc

@@ -175,8 +175,11 @@ std::vector<uint32_t> ComputeEdgeSupports(const CsrGraph& g, int threads,
   // triangles whose lowest-rank edge falls in its static chunk of the
   // partition domain; a second pass reduces the shards in fixed worker
   // order. Plain uint32 additions commute exactly, so the output is
-  // identical to the serial path for any thread count.
-  struct Shard {
+  // identical to the serial path for any thread count. Workers bump their
+  // shard's `triangles` and `stats` on every intersection, so each shard
+  // gets its own cache line: packed 64-byte shards straddle lines and
+  // false-share whenever the heap hands back an unaligned block.
+  struct alignas(64) Shard {
     std::vector<uint32_t> support;
     uint64_t triangles = 0;
     IntersectStats stats;

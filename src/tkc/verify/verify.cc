@@ -1,9 +1,7 @@
 #include "tkc/verify/verify.h"
 
-#include <string>
-#include <utility>
-
 #include "tkc/core/hierarchy.h"
+#include "tkc/core/triangle_core.h"
 #include "tkc/graph/csr.h"
 #include "tkc/obs/trace.h"
 #include "tkc/verify/certificate.h"
@@ -12,41 +10,6 @@
 #include "tkc/verify/structural.h"
 
 namespace tkc::verify {
-
-namespace {
-
-// "static.modes_agree": peel in the other storage mode and require κ and
-// triangle counts to match bit for bit. The peel *order* is deliberately
-// not compared: the modes visit triangles differently, so ties in the
-// bucket queue may break differently — only κ is contractual
-// (StorageModesAgree in the unit suite pins the same boundary).
-InvariantCheck CrossCheckModes(const CsrGraph& csr,
-                               const TriangleCoreResult& reference,
-                               TriangleStorageMode other_mode) {
-  const char* name = "static.modes_agree";
-  std::string detail = "edges=" + std::to_string(csr.NumEdges());
-  TriangleCoreResult other = ComputeTriangleCores(csr, other_mode);
-  if (other.triangle_count != reference.triangle_count) {
-    return Fail(name, detail,
-                {kInvalidEdge, kInvalidVertex, kInvalidVertex, 0,
-                 other.triangle_count, reference.triangle_count,
-                 "storage modes disagree on the triangle count"});
-  }
-  Counterexample ce;
-  bool ok = true;
-  csr.ForEachEdge([&](EdgeId e, const Edge& edge) {
-    if (!ok) return;
-    if (reference.kappa[e] != other.kappa[e]) {
-      ce = {e, edge.u, edge.v, 0, other.kappa[e], reference.kappa[e],
-            "storage modes disagree on kappa"};
-      ok = false;
-    }
-  });
-  return ok ? Pass(name, std::move(detail))
-            : Fail(name, std::move(detail), ce);
-}
-
-}  // namespace
 
 VerifyReport RunFullVerification(const Graph& g,
                                  const VerifyOptions& options) {
@@ -64,19 +27,11 @@ VerifyReport RunFullVerification(const Graph& g,
   TriangleCoreResult result;
   {
     TKC_SPAN("verify.decompose");
-    result = ComputeTriangleCores(csr, options.mode);
+    result = ComputeTriangleCores(csr);
   }
   {
     TKC_SPAN("verify.kappa_certificate");
     report.Merge(CheckKappaCertificate(csr, result.kappa));
-  }
-  if (options.cross_check_modes) {
-    TKC_SPAN("verify.modes_agree");
-    report.Add(CrossCheckModes(
-        csr, result,
-        options.mode == TriangleStorageMode::kRecomputeTriangles
-            ? TriangleStorageMode::kStoreTriangles
-            : TriangleStorageMode::kRecomputeTriangles));
   }
   if (options.check_nesting) {
     TKC_SPAN("verify.nesting");

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "tkc/core/triangle_core.h"
 #include "tkc/graph/edge_event.h"
 #include "tkc/graph/graph.h"
 #include "tkc/verify/report.h"
@@ -14,12 +13,6 @@ namespace tkc::verify {
 /// What RunFullVerification audits beyond the always-on structural and
 /// κ-certificate oracles.
 struct VerifyOptions {
-  /// Storage mode handed to the Algorithm-1 decomposition under test.
-  TriangleStorageMode mode = TriangleStorageMode::kRecomputeTriangles;
-  /// Also peel in the other storage mode and require identical κ/order
-  /// ("static.modes_agree") — the two code paths must be observationally
-  /// equivalent per the paper's Section IV-A.
-  bool cross_check_modes = true;
   /// Audit hierarchy construction and per-level extraction nesting.
   bool check_nesting = true;
   /// Optional edge-event log for the dynamic-maintenance replay oracle.
@@ -32,8 +25,7 @@ struct VerifyOptions {
 /// `g` and returns the aggregated report —
 ///   graph.structure, csr.structure, csr.mirror,
 ///   kappa.shape / kappa.soundness / kappa.maximality (on a fresh
-///   Algorithm-1 decomposition), static.modes_agree,
-///   hierarchy.nesting, extraction.nesting,
+///   Algorithm-1 decomposition), hierarchy.nesting, extraction.nesting,
 ///   dynamic.replay (when `events` is nonempty).
 /// Instrumented with verify.* spans and counters; serialize the result
 /// with VerifyReport::ToJson() for the tkc.verify.v1 artifact.

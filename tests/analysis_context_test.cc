@@ -50,20 +50,17 @@ TEST(AnalysisContextTest, SupportsMatchEveryPath) {
   }
 }
 
-TEST(AnalysisContextTest, DecompositionIdenticalAcrossPathsModesThreads) {
+TEST(AnalysisContextTest, DecompositionIdenticalAcrossPathsAndThreads) {
   for (uint64_t seed : {10, 11, 12}) {
     Graph g = MakeTestGraph(seed);
     CsrGraph csr(g);
-    for (TriangleStorageMode mode : {TriangleStorageMode::kStoreTriangles,
-                                     TriangleStorageMode::kRecomputeTriangles}) {
-      const TriangleCoreResult want = ComputeTriangleCores(csr, mode);
-      for (int threads : {1, 4}) {
-        AnalysisContext ctx(g, threads);
-        ExpectSameCores(ComputeTriangleCores(ctx, mode), want, "context path");
-        // A second decomposition from the same context reuses the cache and
-        // must still be identical.
-        ExpectSameCores(ComputeTriangleCores(ctx, mode), want, "cached");
-      }
+    const TriangleCoreResult want = ComputeTriangleCores(csr);
+    for (int threads : {1, 4}) {
+      AnalysisContext ctx(g, threads);
+      ExpectSameCores(ComputeTriangleCores(ctx), want, "context path");
+      // A second decomposition from the same context reuses the cache and
+      // must still be identical.
+      ExpectSameCores(ComputeTriangleCores(ctx), want, "cached");
     }
   }
 }
@@ -99,8 +96,8 @@ TEST(AnalysisContextTest, SupportsComputedAtMostOncePerContext) {
   ctx.Supports();
   ctx.TriangleCount();
   ctx.MaxSupport();
-  ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
-  ComputeTriangleCores(ctx, TriangleStorageMode::kRecomputeTriangles);
+  ComputeTriangleCores(ctx);
+  ComputeTriangleCores(ctx);
   TriDn(ctx, 2);
   BiTriDn(ctx, 2);
   EXPECT_EQ(counter.Value(), 1u);
@@ -111,28 +108,13 @@ TEST(AnalysisContextTest, SupportsComputedAtMostOncePerContext) {
   EXPECT_EQ(counter.Value(), 2u);
 }
 
-TEST(AnalysisContextTest, TrianglesMaterializedOnceAndComplete) {
-  Graph g = MakeTestGraph(60);
-  auto& counter = obs::MetricsRegistry::Global().GetCounter(
-      "analysis.triangle_materializations");
-  counter.Reset();
-
-  AnalysisContext ctx(g, 1);
-  const auto& tris = ctx.Triangles();
-  ctx.Triangles();
-  ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
-  EXPECT_EQ(counter.Value(), 1u);
-  EXPECT_EQ(static_cast<uint64_t>(tris.size()),
-            CountTriangles(ctx.csr(), 1));
-  EXPECT_EQ(static_cast<uint64_t>(tris.size()), ctx.TriangleCount());
-}
-
 TEST(AnalysisContextTest, AdoptsExistingSnapshot) {
   Graph g = MakeTestGraph(70);
   CsrGraph csr(g);
   AnalysisContext ctx(csr, 1);
   EXPECT_EQ(ctx.csr().NumEdges(), g.NumEdges());
   EXPECT_EQ(ctx.Supports(), ComputeEdgeSupports(csr));
+  EXPECT_EQ(ctx.TriangleCount(), CountTriangles(csr, 1));
 }
 
 }  // namespace

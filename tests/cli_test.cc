@@ -59,16 +59,6 @@ TEST_F(CliTest, DecomposeFigure2) {
   EXPECT_NE(out.find("max_kappa=2"), std::string::npos);
 }
 
-TEST_F(CliTest, DecomposeStoreModeAgrees) {
-  std::string a, b;
-  ASSERT_EQ(RunTool({"decompose", edges_path_, "--mode=store"}, &a), 0);
-  ASSERT_EQ(RunTool({"decompose", edges_path_, "--mode=recompute"}, &b), 0);
-  // Strip the timing line before comparing.
-  a = a.substr(0, a.rfind("# edges"));
-  b = b.substr(0, b.rfind("# edges"));
-  EXPECT_EQ(a, b);
-}
-
 TEST_F(CliTest, DecomposeKernelAndRelabelAgreeWithDefaults) {
   // A bigger graph than Figure 2 so every kernel (including the hub
   // bitmap) does real work; all kernel/relabel combinations must emit
@@ -194,46 +184,29 @@ std::string WithoutSeconds(const std::string& out) {
 
 TEST_F(CliTest, DecomposeSchemaAndOutputIndependentOfThreads) {
   const std::string figure2 = std::string(TKC_DATA_DIR) + "/figure2.txt";
-  for (const std::string mode : {"recompute", "store"}) {
-    std::string schema[2], out[2];
-    const int threads[2] = {1, 4};
-    for (int i = 0; i < 2; ++i) {
-      SCOPED_TRACE("--mode=" + mode + " --threads=" +
-                   std::to_string(threads[i]));
-      const std::string metrics_path = TempPath("cli_schema.json");
-      ASSERT_EQ(RunTool({"decompose", figure2, "--mode=" + mode,
-                         "--threads=" + std::to_string(threads[i]),
-                         "--metrics-out=" + metrics_path},
-                        &out[i]),
-                0);
-      std::ifstream in(metrics_path);
-      std::stringstream buf;
-      buf << in.rdbuf();
-      auto doc = obs::JsonValue::Parse(buf.str());
-      ASSERT_TRUE(doc.has_value());
-      schema[i] = MetricsSchema(*doc);
-      // --mode is honoured at every thread count.
-      const obs::JsonValue* materializations =
-          doc->FindPath("metrics.counters")
-              ->Find("analysis.triangle_materializations");
-      const double materialized =
-          materializations == nullptr ? 0 : materializations->Number();
-      EXPECT_EQ(materialized, mode == "store" ? 1.0 : 0.0);
-    }
-    EXPECT_EQ(schema[0], schema[1]) << "--mode=" << mode;
-    EXPECT_EQ(WithoutSeconds(out[0]), WithoutSeconds(out[1]))
-        << "--mode=" << mode;
-    // Result writing is its own phase directly under the command span.
-    EXPECT_NE(schema[0].find("\ndecompose\n"), std::string::npos);
-    EXPECT_NE(schema[0].find("\n  cli.write_output\n"), std::string::npos)
-        << schema[0];
-    // Store mode fills its per-edge partner lists under a named span.
-    for (int i = 0; i < 2; ++i) {
-      EXPECT_EQ(schema[i].find("\n    partner_fill\n") != std::string::npos,
-                mode == "store")
-          << "--threads=" << threads[i] << "\n" << schema[i];
-    }
+  std::string schema[2], out[2];
+  const int threads[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("--threads=" + std::to_string(threads[i]));
+    const std::string metrics_path = TempPath("cli_schema.json");
+    ASSERT_EQ(RunTool({"decompose", figure2,
+                       "--threads=" + std::to_string(threads[i]),
+                       "--metrics-out=" + metrics_path},
+                      &out[i]),
+              0);
+    std::ifstream in(metrics_path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    auto doc = obs::JsonValue::Parse(buf.str());
+    ASSERT_TRUE(doc.has_value());
+    schema[i] = MetricsSchema(*doc);
   }
+  EXPECT_EQ(schema[0], schema[1]);
+  EXPECT_EQ(WithoutSeconds(out[0]), WithoutSeconds(out[1]));
+  // Result writing is its own phase directly under the command span.
+  EXPECT_NE(schema[0].find("\ndecompose\n"), std::string::npos);
+  EXPECT_NE(schema[0].find("\n  cli.write_output\n"), std::string::npos)
+      << schema[0];
 }
 
 TEST_F(CliTest, LogLevelFlag) {
@@ -259,6 +232,15 @@ TEST_F(CliTest, UnknownFlagRejected) {
   EXPECT_EQ(RunTool({"decompose", edges_path_, "--bogus=1"}, &out, &err), 2);
   EXPECT_NE(err.find("unknown flag '--bogus'"), std::string::npos);
   EXPECT_NE(err.find("usage:"), std::string::npos);
+  // Algorithm 1 has one triangle source, so --mode is not a flag: any value
+  // is a usage error rather than a silently ignored choice.
+  for (const std::string value : {"store", "recompute", "bogus"}) {
+    EXPECT_EQ(RunTool({"decompose", edges_path_, "--mode=" + value}, &out,
+                      &err),
+              2)
+        << value;
+    EXPECT_NE(err.find("unknown flag '--mode'"), std::string::npos) << value;
+  }
   // Global flags stay accepted everywhere.
   EXPECT_EQ(RunTool({"kcore", edges_path_, "--log-level=error"}, &out, &err),
             0);
@@ -511,9 +493,7 @@ TEST_F(CliTest, VerifyCleanGraphPasses) {
 TEST_F(CliTest, VerifyWritesVerifyV1Artifact) {
   std::string json_path = TempPath("cli_verify.json");
   std::string out;
-  ASSERT_EQ(RunTool({"verify", edges_path_, "--json-out=" + json_path,
-                 "--mode=store"},
-                &out),
+  ASSERT_EQ(RunTool({"verify", edges_path_, "--json-out=" + json_path}, &out),
             0);
   std::ifstream in(json_path);
   ASSERT_TRUE(in.good());
@@ -543,6 +523,7 @@ TEST_F(CliTest, VerifyWithEventsRunsReplay) {
 TEST_F(CliTest, VerifyRejectsBadFlags) {
   std::string out, err;
   EXPECT_EQ(RunTool({"verify", edges_path_, "--mode=never"}, &out, &err), 2);
+  EXPECT_NE(err.find("unknown flag '--mode'"), std::string::npos);
   EXPECT_EQ(RunTool({"verify", edges_path_, "--check-every=0"}, &out, &err),
             2);
   EXPECT_EQ(RunTool({"verify", edges_path_, "--events=/no/such/file"}, &out,

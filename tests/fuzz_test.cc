@@ -4,7 +4,7 @@
 // growth/decay cycles). Complements dynamic_core_test's per-step sweeps
 // with longer horizons at larger scale.
 //
-// The parameterized differential driver at the bottom sweeps storage modes
+// The parameterized differential harness sweeps two seeded churn streams
 // × thread counts and holds the maintained κ to the Algorithm-1 oracle and
 // the independent κ-certificate every Nth step; CI runs this suite at
 // TKC_CHECK_LEVEL=2, where every mutation additionally self-certifies.
@@ -174,17 +174,16 @@ TEST(FuzzTest, RebuildEquivalenceAfterHeavyChurn) {
   });
 }
 
-// --- Differential driver: storage modes × threads ----------------------
+// --- Differential harness: churn streams × threads ---------------------
 
 class DifferentialFuzzTest
-    : public ::testing::TestWithParam<std::tuple<TriangleStorageMode, int>> {
-};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
-  const auto [mode, threads] = GetParam();
+  const auto [stream, threads] = GetParam();
   // Seed folds in the parameters so each configuration walks a different
   // trajectory while staying reproducible.
-  Rng rng(1000003 * (mode == TriangleStorageMode::kStoreTriangles ? 1 : 2) +
+  Rng rng(1000003 * static_cast<uint64_t>(stream) +
           static_cast<uint64_t>(threads));
   Graph base = PowerLawCluster(90, 3, 0.55, rng);
   DynamicTriangleCore dyn{DeltaCsr(base)};
@@ -204,9 +203,9 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
     if (step % kCheckEvery != 0 && step != kSteps) continue;
 
     // Oracle 1: Algorithm-1 recompute through the parallel CSR read path
-    // in the parameterized storage mode / thread count.
+    // at the parameterized thread count.
     AnalysisContext ctx(CsrGraph::Freeze(dyn.graph()), threads);
-    TriangleCoreResult fresh = ComputeTriangleCores(ctx, mode);
+    TriangleCoreResult fresh = ComputeTriangleCores(ctx);
     dyn.graph().ForEachEdge([&](EdgeId e, const Edge& edge) {
       ASSERT_EQ(dyn.kappa()[e], fresh.kappa[e])
           << "step " << step << " edge (" << edge.u << "," << edge.v << ")";
@@ -222,18 +221,14 @@ TEST_P(DifferentialFuzzTest, SeededChurnAgainstAlgorithm1AndCertificate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StorageModesAndThreads, DifferentialFuzzTest,
-    ::testing::Combine(
-        ::testing::Values(TriangleStorageMode::kStoreTriangles,
-                          TriangleStorageMode::kRecomputeTriangles),
-        ::testing::Values(1, 4)),
+    StreamsAndThreads, DifferentialFuzzTest,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<DifferentialFuzzTest::ParamType>&
            info) {
-      std::string name =
-          std::get<0>(info.param) == TriangleStorageMode::kStoreTriangles
-              ? "store"
-              : "recompute";
-      name += "_t" + std::to_string(std::get<1>(info.param));
+      std::string name = "stream";
+      name.append(std::to_string(std::get<0>(info.param)));
+      name.append("_t");
+      name.append(std::to_string(std::get<1>(info.param)));
       return name;
     });
 

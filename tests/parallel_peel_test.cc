@@ -1,9 +1,9 @@
 // The round-synchronous peel behind every ComputeTriangleCores overload,
 // held to the definitional NaiveTriangleCores oracle and the
 // code-independent κ-certificate on adversarial shapes: κ must be exact at
-// every thread count and in both storage modes, and order/peel_sequence
-// must be identical across thread counts, modes and overloads (the round
-// structure is deterministic) and must themselves form a valid peel.
+// every thread count, and order/peel_sequence must be identical across
+// thread counts and overloads (the round structure is deterministic) and
+// must themselves form a valid peel.
 
 #include <algorithm>
 #include <vector>
@@ -15,6 +15,7 @@
 #include "tkc/gen/generators.h"
 #include "tkc/graph/csr.h"
 #include "tkc/graph/delta_csr.h"
+#include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/util/random.h"
 #include "tkc/verify/certificate.h"
@@ -22,44 +23,37 @@
 namespace tkc {
 namespace {
 
-constexpr TriangleStorageMode kModes[] = {
-    TriangleStorageMode::kRecomputeTriangles,
-    TriangleStorageMode::kStoreTriangles};
-
 // κ from the context overload must equal the naive oracle's for every
-// thread count and mode, and the result must be internally consistent.
+// thread count, and the result must be internally consistent.
 void ExpectMatchesOracle(const Graph& g, const char* where) {
   const std::vector<uint32_t> oracle = NaiveTriangleCores(g);
   const CsrGraph csr(g);
-  for (TriangleStorageMode mode : kModes) {
-    for (int threads : {1, 2, 4, 7}) {
-      AnalysisContext ctx(g, threads);
-      const TriangleCoreResult r = ComputeTriangleCores(ctx, mode);
-      ASSERT_EQ(r.kappa.size(), g.EdgeCapacity()) << where;
-      uint32_t max_kappa = 0;
-      g.ForEachEdge([&](EdgeId e, const Edge& edge) {
-        ASSERT_EQ(r.kappa[e], oracle[e])
-            << where << " threads=" << threads << " edge (" << edge.u << ","
-            << edge.v << ")";
-        max_kappa = std::max(max_kappa, oracle[e]);
-      });
-      EXPECT_EQ(r.max_kappa, max_kappa) << where;
-      EXPECT_EQ(r.triangle_count, CountTriangles(csr)) << where;
-      EXPECT_EQ(r.peel_sequence.size(), g.NumEdges()) << where;
-      // order is the inverse of peel_sequence.
-      for (size_t i = 0; i < r.peel_sequence.size(); ++i) {
-        EXPECT_EQ(r.order[r.peel_sequence[i]], i) << where;
-      }
-      // κ is non-decreasing along the peel sequence (levels ascend).
-      for (size_t i = 1; i < r.peel_sequence.size(); ++i) {
-        EXPECT_LE(r.kappa[r.peel_sequence[i - 1]],
-                  r.kappa[r.peel_sequence[i]])
-            << where;
-      }
-      verify::VerifyReport cert = verify::CheckKappaCertificate(csr, r.kappa);
-      EXPECT_TRUE(cert.AllPassed())
-          << where << ": " << cert.FirstFailure()->name;
+  for (int threads : {1, 2, 4, 7}) {
+    AnalysisContext ctx(g, threads);
+    const TriangleCoreResult r = ComputeTriangleCores(ctx);
+    ASSERT_EQ(r.kappa.size(), g.EdgeCapacity()) << where;
+    uint32_t max_kappa = 0;
+    g.ForEachEdge([&](EdgeId e, const Edge& edge) {
+      ASSERT_EQ(r.kappa[e], oracle[e])
+          << where << " threads=" << threads << " edge (" << edge.u << ","
+          << edge.v << ")";
+      max_kappa = std::max(max_kappa, oracle[e]);
+    });
+    EXPECT_EQ(r.max_kappa, max_kappa) << where;
+    EXPECT_EQ(r.triangle_count, CountTriangles(csr)) << where;
+    EXPECT_EQ(r.peel_sequence.size(), g.NumEdges()) << where;
+    // order is the inverse of peel_sequence.
+    for (size_t i = 0; i < r.peel_sequence.size(); ++i) {
+      EXPECT_EQ(r.order[r.peel_sequence[i]], i) << where;
     }
+    // κ is non-decreasing along the peel sequence (levels ascend).
+    for (size_t i = 1; i < r.peel_sequence.size(); ++i) {
+      EXPECT_LE(r.kappa[r.peel_sequence[i - 1]], r.kappa[r.peel_sequence[i]])
+          << where;
+    }
+    verify::VerifyReport cert = verify::CheckKappaCertificate(csr, r.kappa);
+    EXPECT_TRUE(cert.AllPassed())
+        << where << ": " << cert.FirstFailure()->name;
   }
 }
 
@@ -148,7 +142,7 @@ TEST(ParallelPeelTest, OrderIsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelPeelTest, AllOverloadsAgreeInBothModesAtEveryThreadCount) {
+TEST(ParallelPeelTest, AllOverloadsAgreeAtEveryThreadCount) {
   // Large enough that level 0 and the low levels have frontiers past the
   // inline-round cutoff, so the 2- and 4-thread contexts really split
   // rounds across workers; churned so dead edge ids are in play.
@@ -160,22 +154,13 @@ TEST(ParallelPeelTest, AllOverloadsAgreeInBothModesAtEveryThreadCount) {
       "peel.frontier_edges");
 
   const CsrGraph csr(g);
-  const TriangleCoreResult want =
-      ComputeTriangleCores(csr, TriangleStorageMode::kRecomputeTriangles);
+  const TriangleCoreResult want = ComputeTriangleCores(csr);
   EXPECT_GE(frontier.Max(), 2048u);
-  for (TriangleStorageMode mode : kModes) {
-    const bool store = mode == TriangleStorageMode::kStoreTriangles;
-    ExpectSameResult(ComputeTriangleCores(csr, mode), want,
-                     store ? "CsrGraph store" : "CsrGraph recompute");
-    ExpectSameResult(ComputeTriangleCores(DeltaCsr(g), mode), want,
-                     store ? "DeltaCsr store" : "DeltaCsr recompute");
-    for (int threads : {1, 2, 4}) {
-      SCOPED_TRACE(threads);
-      ExpectSameResult(ComputeTriangleCores(AnalysisContext(g, threads), mode),
-                       want,
-                       store ? "AnalysisContext store"
-                             : "AnalysisContext recompute");
-    }
+  ExpectSameResult(ComputeTriangleCores(DeltaCsr(g)), want, "DeltaCsr");
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ExpectSameResult(ComputeTriangleCores(AnalysisContext(g, threads)), want,
+                     "AnalysisContext");
   }
 }
 
@@ -187,12 +172,10 @@ TEST(ParallelPeelTest, AnalysisContextOverloadUsesCachedSupports) {
       "analysis.support_computations");
   const uint64_t before = computations.Value();
   ctx.Supports();  // force the cache
-  const TriangleCoreResult recompute = ComputeTriangleCores(ctx);
-  const TriangleCoreResult store =
-      ComputeTriangleCores(ctx, TriangleStorageMode::kStoreTriangles);
+  const TriangleCoreResult first = ComputeTriangleCores(ctx);
+  const TriangleCoreResult second = ComputeTriangleCores(ctx);
   EXPECT_EQ(computations.Value(), before + 1);  // computed exactly once
-  EXPECT_EQ(recompute.kappa, store.kappa);
-  EXPECT_EQ(recompute.triangle_count, store.triangle_count);
+  ExpectSameResult(second, first, "second decomposition");
 }
 
 TEST(ParallelPeelTest, EmitsRoundAndFrontierHistograms) {

@@ -7,6 +7,7 @@
 #include "tkc/core/core_extraction.h"
 #include "tkc/gen/generators.h"
 #include "tkc/graph/triangle.h"
+#include "tkc/obs/metrics.h"
 #include "tkc/util/random.h"
 
 namespace tkc {
@@ -90,18 +91,30 @@ TEST(TriangleCoreTest, PeelSequenceMonotoneAndOrdersConsistent) {
   }
 }
 
-TEST(TriangleCoreTest, StorageModesAgree) {
-  for (uint64_t seed : {1, 7, 19}) {
-    Rng rng(seed);
-    const CsrGraph csr(PowerLawCluster(150, 3, 0.6, rng));
-    auto stored =
-        ComputeTriangleCores(csr, TriangleStorageMode::kStoreTriangles);
-    auto recomputed =
-        ComputeTriangleCores(csr, TriangleStorageMode::kRecomputeTriangles);
-    EXPECT_EQ(stored.kappa, recomputed.kappa) << "seed=" << seed;
-    EXPECT_EQ(stored.max_kappa, recomputed.max_kappa);
-    EXPECT_EQ(stored.triangle_count, recomputed.triangle_count);
+// `triangle.wedges_examined` is actual intersection work, the unit the
+// support kernel reports too, not the Σ min(d(u), d(v)) proxy: on a hub
+// graph (a star whose leaves 1-4 also form a clique) the decomposition's
+// support pass must add exactly what IntersectNeighbors reports per edge.
+TEST(TriangleCoreTest, WedgesExaminedCountsIntersectionWork) {
+  Graph g = StarGraph(40);
+  for (VertexId a = 1; a <= 4; ++a) {
+    for (VertexId b = a + 1; b <= 4; ++b) g.AddEdge(a, b);
   }
+  const CsrGraph csr(g);
+  uint64_t work = 0;
+  uint64_t min_degree = 0;
+  csr.ForEachEdge([&](EdgeId, const Edge& edge) {
+    work += IntersectNeighbors(csr, edge.u, edge.v,
+                               [](VertexId, EdgeId, EdgeId) {});
+    min_degree += std::min(csr.Degree(edge.u), csr.Degree(edge.v));
+  });
+  ASSERT_NE(work, min_degree);  // the graph tells the two units apart
+
+  auto& counter = obs::MetricsRegistry::Global().GetCounter(
+      "triangle.wedges_examined");
+  counter.Reset();
+  ComputeTriangleCores(csr);
+  EXPECT_EQ(counter.Value(), work);
 }
 
 TEST(TriangleCoreTest, Theorem1HoldsOnDecomposition) {

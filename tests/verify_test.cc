@@ -26,8 +26,8 @@ TEST(VerifyTest, CleanDecompositionPassesFullVerification) {
       << report.FirstFailure()->name << ": " << report.FirstFailure()->detail;
   for (const char* name :
        {"graph.structure", "csr.structure", "csr.mirror", "kappa.shape",
-        "kappa.soundness", "kappa.maximality", "static.modes_agree",
-        "hierarchy.nesting", "extraction.nesting"}) {
+        "kappa.soundness", "kappa.maximality", "hierarchy.nesting",
+        "extraction.nesting"}) {
     const InvariantCheck* check = report.Find(name);
     ASSERT_NE(check, nullptr) << name;
     EXPECT_TRUE(check->passed) << name;
@@ -37,17 +37,12 @@ TEST(VerifyTest, CleanDecompositionPassesFullVerification) {
   EXPECT_NE(json.find("\"passed\":true"), std::string::npos);
 }
 
-TEST(VerifyTest, CleanRandomGraphsPassBothModes) {
+TEST(VerifyTest, CleanRandomGraphsPass) {
   for (uint64_t seed : {3, 11}) {
     Rng rng(seed);
     Graph g = PowerLawCluster(120, 3, 0.5, rng);
-    for (TriangleStorageMode mode : {TriangleStorageMode::kStoreTriangles,
-                                     TriangleStorageMode::kRecomputeTriangles}) {
-      VerifyOptions options;
-      options.mode = mode;
-      VerifyReport report = RunFullVerification(g, options);
-      EXPECT_TRUE(report.AllPassed()) << "seed=" << seed;
-    }
+    VerifyReport report = RunFullVerification(g);
+    EXPECT_TRUE(report.AllPassed()) << "seed=" << seed;
   }
 }
 

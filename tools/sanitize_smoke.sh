@@ -58,14 +58,6 @@ run_one() {
     echo "!! 4-thread peel kappa differs from 1 thread" >&2
     exit 1
   fi
-  # Store mode: the 4 workers read the shared stored partner lists at once.
-  "$build_dir/tools/tkc" decompose "$smoke_dir/g.txt" --threads=4 \
-    --mode=store > "$smoke_dir/kappa_store.txt"
-  if ! diff <(grep -v '^#' "$smoke_dir/kappa_store.txt") \
-            <(grep -v '^#' "$smoke_dir/kappa_ser.txt"); then
-    echo "!! --mode=store 4-thread peel kappa differs from 1 thread" >&2
-    exit 1
-  fi
   echo "== $sanitizer: kernel + relabel CLI =="
   # The forced-scalar run pins the dispatch fallback under sanitizers, and
   # --relabel=degree drives the permutation/OriginalEdge path; both must
