@@ -240,6 +240,9 @@ int CmdDecompose(const ParsedArgs& args, std::ostream& out,
   } else {
     ctx.emplace(*src->graph);
   }
+  // The frozen context is all the rest of the command reads; releasing the
+  // builder Graph here pays for the peel's private copy of the rows.
+  src->graph.reset();
   TriangleCoreResult r = ComputeTriangleCores(*ctx);
   double seconds = t.Seconds();
   obs::Logger::Global().Info("decompose.done",
@@ -272,6 +275,7 @@ int CmdKCore(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   std::optional<CsrGraph> local;
   if (!src->csr) local.emplace(*src->graph, RelabelMode::kNone,
                                IngestThreads(args));
+  src->graph.reset();
   const CsrGraph& csr = src->csr ? *src->csr : *local;
   KCoreResult r = ComputeKCores(csr);
   out << "# v core\n";
@@ -292,6 +296,7 @@ int CmdStats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   std::optional<CsrGraph> local;
   if (!src->csr) local.emplace(*src->graph, RelabelMode::kNone,
                                IngestThreads(args));
+  src->graph.reset();
   GraphStats s = ComputeGraphStats(src->csr ? *src->csr : *local);
   out << "vertices:               " << s.num_vertices << '\n'
       << "edges:                  " << s.num_edges << '\n'
@@ -316,6 +321,7 @@ int CmdPlot(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   } else {
     ctx_storage.emplace(*src->graph);
   }
+  src->graph.reset();
   AnalysisContext& ctx = *ctx_storage;
   TriangleCoreResult r = ComputeTriangleCores(ctx);
   std::vector<uint32_t> co(ctx.csr().EdgeCapacity(), 0);
@@ -350,6 +356,7 @@ int CmdHierarchy(const ParsedArgs& args, std::ostream& out,
   } else {
     ctx_storage.emplace(*src->graph);
   }
+  src->graph.reset();
   AnalysisContext& ctx = *ctx_storage;
   TriangleCoreResult r = ComputeTriangleCores(ctx);
   CoreHierarchy h = BuildCoreHierarchy(ctx.csr(), r);
@@ -824,7 +831,8 @@ void PrintUsage(std::ostream& err) {
          "            [--json-out=FILE] [--graph-cache=FILE]\n"
          "  templates <old.txt> <new.txt> --pattern=newform|bridge|newjoin\n"
          "  generate  <er|gnm|ba|plc|ws|rmat|geometric|collab> --out=FILE\n"
-         "            [--n=N] [--m=M] [--p=P] [--seed=S]\n"
+         "            [--n=N] [--m=M] [--p=P] [--scale=K] [--seed=S]\n"
+         "            (rmat: 2^K vertices, M edges per vertex)\n"
          "  cache     build <edges.txt> --out=FILE [--relabel=none|degree]\n"
          "  cache     load <FILE.tkcg>\n"
          "global flags (any command):\n"

@@ -8,7 +8,7 @@
 
 #include "tkc/core/analysis_context.h"
 #include "tkc/graph/delta_csr.h"
-#include "tkc/graph/triangle.h"
+#include "tkc/graph/intersect_simd.h"
 #include "tkc/obs/mem.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/perf_counters.h"
@@ -53,13 +53,88 @@ uint64_t Decrement(std::atomic<uint32_t>* support, EdgeId target, uint32_t k,
   return 0;
 }
 
+// The peel's private adjacency: a copy of every row of the graph that
+// keeps only edges lying in at least one triangle (an edge of support 0 is
+// no triangle's partner, so no intersection result changes), from which
+// peeled edges are compacted out at each level start. Compaction keeps the
+// order within a row, so rows stay sorted and feed the same intersection
+// kernels as the graph's own rows. Rows are only written between rounds.
+class LiveRows {
+ public:
+  template <typename GraphT>
+  LiveRows(const GraphT& g, const std::vector<uint32_t>& support)
+      : begin_(static_cast<size_t>(g.NumVertices()) + 1, 0),
+        len_(g.NumVertices(), 0),
+        dirty_(g.NumVertices(), 0) {
+    const VertexId n = g.NumVertices();
+    for (VertexId v = 0; v < n; ++v) {
+      for (const Neighbor& nb : g.Neighbors(v)) {
+        if (support[nb.edge] != 0) ++len_[v];
+      }
+      begin_[v + 1] = begin_[v] + len_[v];
+    }
+    entries_.reserve(begin_[n]);
+    for (VertexId v = 0; v < n; ++v) {
+      for (const Neighbor& nb : g.Neighbors(v)) {
+        if (support[nb.edge] != 0) entries_.push_back(nb);
+      }
+    }
+  }
+
+  const Neighbor* Begin(VertexId v) const {
+    return entries_.data() + begin_[v];
+  }
+  const Neighbor* End(VertexId v) const { return Begin(v) + len_[v]; }
+
+  // Queues `v`'s row for the next Compact().
+  void MarkDirty(VertexId v) {
+    if (dirty_[v] != 0) return;
+    dirty_[v] = 1;
+    dirty_list_.push_back(v);
+  }
+
+  // Drops the entries whose edge is kPeeled from every queued row and
+  // returns how many were dropped.
+  uint64_t Compact(const std::vector<uint8_t>& state) {
+    uint64_t dropped = 0;
+    for (VertexId v : dirty_list_) {
+      dirty_[v] = 0;
+      Neighbor* row = entries_.data() + begin_[v];
+      Neighbor* live = std::remove_if(
+          row, row + len_[v],
+          [&](const Neighbor& nb) { return state[nb.edge] == kPeeled; });
+      const auto kept = static_cast<uint32_t>(live - row);
+      dropped += len_[v] - kept;
+      len_[v] = kept;
+    }
+    dirty_list_.clear();
+    return dropped;
+  }
+
+ private:
+  std::vector<size_t> begin_;    // |V|+1 row starts into entries_
+  std::vector<uint32_t> len_;    // live length of each row
+  std::vector<Neighbor> entries_;
+  std::vector<uint8_t> dirty_;   // row queued for compaction
+  std::vector<VertexId> dirty_list_;
+};
+
+// Per-worker round tallies, summed once after the peel. Each worker adds
+// its chunk's locals here once per chunk, on its own cache line.
+struct alignas(64) WorkerTally {
+  uint64_t relaxations = 0;
+  uint64_t scanned = 0;
+};
+
 // Steps 7-18 of Algorithm 1, the one peel behind every entry point, in the
 // round-synchronous form of the PKT scheme: levels k ascend, and within a
 // level the frontier — unpeeled edges whose κ̃ has reached k — peels in
-// rounds until the level drains. κ̃ starts at `initial_support`; each
-// peeled edge re-intersects its endpoints' adjacency to find its triangles.
-// Rounds of at least kSerialRoundCutoff edges are split over `threads`
-// workers; the result is the same for every thread count.
+// rounds until the level drains. κ̃ starts at `initial_support`, which
+// must be the exact triangle count of each edge (LiveRows leaves the
+// support-0 edges out). Each peeled edge intersects its endpoints' live
+// rows to find its triangles. Rounds of at least kSerialRoundCutoff edges
+// are split over `threads` workers; the result is the same for every
+// thread count.
 template <typename GraphT>
 void PeelRoundSynchronous(const GraphT& g,
                           const std::vector<uint32_t>& initial_support,
@@ -98,19 +173,31 @@ void PeelRoundSynchronous(const GraphT& g,
   auto& rounds_hist = registry.GetHistogram("peel.rounds");
   auto& frontier_hist = registry.GetHistogram("peel.frontier_edges");
 
+  LiveRows rows = [&] {
+    TKC_SPAN("peel.compact");
+    return LiveRows(g, initial_support);
+  }();
+  uint64_t compacted = 0;
+  const IntersectKernel kernel = CurrentKernel();
+
   const size_t workers = static_cast<size_t>(std::max(threads, 1));
   std::vector<std::vector<EdgeId>> buffers(workers);
+  std::vector<WorkerTally> tally(workers);
   std::vector<EdgeId> frontier;
   uint32_t next_order = 0;
-  uint64_t relaxations = 0;
 
   // Dispatching the pool for a handful of edges costs more than the round;
   // below this frontier size the round runs inline on the calling thread.
   constexpr size_t kSerialRoundCutoff = 2048;
 
   while (remaining > 0) {
-    // Level skip: compact out the edges the last level peeled and find the
-    // smallest remaining support — every clamp so far was at a lower
+    {
+      // Drop the edges the last level peeled from the rows they touch.
+      TKC_SPAN("peel.compact");
+      compacted += rows.Compact(state);
+    }
+    // Level skip: drop the last level's edges from `pending` too and find
+    // the smallest remaining support — every clamp so far was at a lower
     // floor, so no unpeeled edge sits below it.
     size_t kept = 0;
     uint32_t k = std::numeric_limits<uint32_t>::max();
@@ -149,7 +236,6 @@ void PeelRoundSynchronous(const GraphT& g,
       // partner in the frontier, the lower-id frontier edge relaxes the
       // survivor (the other would double-count it); with no partner in the
       // frontier, the peeling edge relaxes both.
-      std::vector<uint64_t> worker_relax(workers, 0);
       const int round_threads =
           frontier.size() < kSerialRoundCutoff ? 1 : threads;
       ParallelFor(round_threads, frontier.size(),
@@ -159,34 +245,47 @@ void PeelRoundSynchronous(const GraphT& g,
         chunk_scope.AddArg("round", rounds);
         chunk_scope.AddArg("edges", end - begin);
         auto& next = buffers[static_cast<size_t>(worker)];
-        uint64_t& relax = worker_relax[static_cast<size_t>(worker)];
+        uint64_t relax = 0;
+        IntersectStats stats;
         for (size_t i = begin; i < end; ++i) {
           const EdgeId e = frontier[i];
-          ForEachTriangleOnEdge(g, e, [&](VertexId, EdgeId p1, EdgeId p2) {
-            const uint8_t s1 = state[p1];
-            const uint8_t s2 = state[p2];
-            if (s1 == kPeeled || s2 == kPeeled) return;
-            if (s1 == kFrontier && s2 == kFrontier) return;
-            if (s1 == kFrontier) {
-              if (e < p1) relax += Decrement(support.get(), p2, k, next);
-            } else if (s2 == kFrontier) {
-              if (e < p2) relax += Decrement(support.get(), p1, k, next);
-            } else {
-              relax += Decrement(support.get(), p1, k, next);
-              relax += Decrement(support.get(), p2, k, next);
-            }
-          });
+          const Edge edge = g.GetEdge(e);
+          IntersectDispatch(
+              kernel, rows.Begin(edge.u), rows.End(edge.u),
+              rows.Begin(edge.v), rows.End(edge.v), stats,
+              [&](VertexId, EdgeId p1, EdgeId p2) {
+                const uint8_t s1 = state[p1];
+                const uint8_t s2 = state[p2];
+                if (s1 == kPeeled || s2 == kPeeled) return;
+                if (s1 == kFrontier && s2 == kFrontier) return;
+                if (s1 == kFrontier) {
+                  if (e < p1) relax += Decrement(support.get(), p2, k, next);
+                } else if (s2 == kFrontier) {
+                  if (e < p2) relax += Decrement(support.get(), p1, k, next);
+                } else {
+                  relax += Decrement(support.get(), p1, k, next);
+                  relax += Decrement(support.get(), p2, k, next);
+                }
+              });
         }
+        WorkerTally& t = tally[static_cast<size_t>(worker)];
+        t.relaxations += relax;
+        t.scanned += stats.Total();
       });
-      for (uint64_t r : worker_relax) relaxations += r;
 
       // Finalize the round (frontier is id-ascending, so order and
-      // peel_sequence are identical for every thread count).
+      // peel_sequence are identical for every thread count). Edges of
+      // support 0 are in no live row, so only the others dirty a row.
       for (EdgeId e : frontier) {
         state[e] = kPeeled;
         result.kappa[e] = k;
         result.order[e] = next_order++;
         result.peel_sequence.push_back(e);
+        if (initial_support[e] != 0) {
+          const Edge edge = g.GetEdge(e);
+          rows.MarkDirty(edge.u);
+          rows.MarkDirty(edge.v);
+        }
       }
       remaining -= frontier.size();
       level_edges += frontier.size();
@@ -203,11 +302,21 @@ void PeelRoundSynchronous(const GraphT& g,
         .Add(level_edges);
   }
 
+  uint64_t relaxations = 0;
+  uint64_t scanned = 0;
+  for (const WorkerTally& t : tally) {
+    relaxations += t.relaxations;
+    scanned += t.scanned;
+  }
   TKC_SPAN_COUNTER("edges_peeled", result.peel_sequence.size());
   TKC_SPAN_COUNTER("support_relaxations", relaxations);
+  TKC_SPAN_COUNTER("adjacency_scanned", scanned);
+  TKC_SPAN_COUNTER("entries_compacted", compacted);
   registry.GetCounter("core.peel.edges_peeled")
       .Add(result.peel_sequence.size());
   registry.GetCounter("core.peel.support_relaxations").Add(relaxations);
+  registry.GetCounter("core.peel.adjacency_scanned").Add(scanned);
+  registry.GetCounter("core.peel.entries_compacted").Add(compacted);
   registry.GetGauge("core.peel.max_kappa").Set(result.max_kappa);
 }
 

@@ -35,8 +35,12 @@ struct TriangleCoreResult {
 /// rounds repeating until the level drains. The triangles on a peeled
 /// edge come from re-intersecting its endpoints' adjacency lists (the
 /// paper's Section IV-A mode for graphs whose triangle set does not fit in
-/// memory), so the peel costs one intersection per edge, O(Σ d(u)+d(v)),
-/// plus a sort of each round's frontier; no triangle list is materialized.
+/// memory); no triangle list is materialized. The peel intersects a
+/// private copy of the rows (8 B per adjacency entry of an edge in a
+/// triangle) from which each level's peeled edges are compacted out, so
+/// an edge's intersection costs the *live* lengths of its endpoints' rows,
+/// O(Σ live d(u) + live d(v)) in total, plus the compactions (each dirty
+/// row rescanned once per level) and a sort of each round's frontier.
 ///
 /// Every overload returns the same result: κ, and the same
 /// `order`/`peel_sequence` (levels ascending, rounds in discovery

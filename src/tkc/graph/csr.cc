@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "tkc/graph/triangle.h"
 #include "tkc/obs/metrics.h"
 #include "tkc/obs/trace.h"
 #include "tkc/util/check.h"
@@ -161,10 +160,6 @@ std::vector<EdgeId> CsrGraph::EdgeIds() const {
   ids.reserve(NumEdges());
   ForEachEdge([&](EdgeId e, const Edge&) { ids.push_back(e); });
   return ids;
-}
-
-std::vector<uint32_t> CsrGraph::ComputeSupports(int threads) const {
-  return ComputeEdgeSupports(*this, threads);
 }
 
 Graph CsrGraph::ToGraph() const {

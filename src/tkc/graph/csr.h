@@ -214,11 +214,6 @@ class CsrGraph {
     }
   }
 
-  /// Per-edge triangle supports (same contract as ComputeEdgeSupports).
-  /// `threads` follows the ResolveThreads convention (0 = default); the
-  /// result is identical for every thread count.
-  std::vector<uint32_t> ComputeSupports(int threads = 1) const;
-
   /// Thaws back into a mutable Graph (EdgeIds are NOT preserved — the
   /// result is a fresh graph with the same topology).
   Graph ToGraph() const;

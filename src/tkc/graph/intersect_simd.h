@@ -311,7 +311,7 @@ uint64_t IntersectDispatchCount(IntersectKernel kernel, const Neighbor* ab,
 
 /// Common-neighbor query through the process-default kernel — the dispatched
 /// replacement for GraphT::ForEachCommonNeighbor on the hot paths
-/// (ForEachTriangleOnEdge, the peel's round loop). GraphT is
+/// (ForEachTriangleOnEdge, the peel's support count). GraphT is
 /// anything exposing Neighbors(v) as a contiguous range of Neighbor
 /// (Graph, CsrGraph, DeltaCsr). Returns the intersection work done
 /// (IntersectStats::Total(), the unit of `triangle.wedges_examined`).

@@ -44,7 +44,6 @@ TEST(AnalysisContextTest, SupportsMatchEveryPath) {
     const auto full_scan = ComputeEdgeSupportsFullScan(csr);
     EXPECT_EQ(ComputeEdgeSupports(csr, 1), full_scan) << "seed=" << seed;
     EXPECT_EQ(ComputeEdgeSupports(csr, 4), full_scan) << "seed=" << seed;
-    EXPECT_EQ(csr.ComputeSupports(4), full_scan) << "seed=" << seed;
     AnalysisContext ctx(g, 4);
     EXPECT_EQ(ctx.Supports(), full_scan) << "seed=" << seed;
   }

@@ -256,7 +256,7 @@ class ScopedDefaultKernel {
 class KernelDifferentialFuzzTest
     : public ::testing::TestWithParam<std::tuple<IntersectKernel, int>> {};
 
-TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
+TEST_P(KernelDifferentialFuzzTest, SupportsAndPeelMatchScalarOracle) {
   const auto [kernel, threads] = GetParam();
   Rng rng(2012 + static_cast<uint64_t>(ResolveKernel(kernel)) * 101 +
           static_cast<uint64_t>(threads));
@@ -287,16 +287,30 @@ TEST_P(KernelDifferentialFuzzTest, SupportsAndKappaMatchScalarOracle) {
               CountTriangles(csr, 1, IntersectKernel::kScalar))
         << "step " << step;
 
-    // Full decomposition with the kernel installed as the process default —
-    // the context peel (at `threads`) and the Graph peel (inline support
-    // count, calling thread) both route through IntersectNeighbors.
+    // Full decomposition. The oracle is the scalar kernel on the calling
+    // thread; with `kernel` installed as the process default, the context
+    // peel (at `threads`) and the CSR peel (inline support count, calling
+    // thread) must return its κ, order and peel_sequence exactly.
+    TriangleCoreResult oracle_cores;
+    {
+      ScopedDefaultKernel scalar(IntersectKernel::kScalar);
+      oracle_cores = ComputeTriangleCores(csr);
+    }
     ScopedDefaultKernel scoped(kernel);
     AnalysisContext ctx(g, threads);
     TriangleCoreResult from_ctx = ComputeTriangleCores(ctx);
-    TriangleCoreResult from_graph = ComputeTriangleCores(CsrGraph(g));
-    ASSERT_EQ(from_ctx.kappa, from_graph.kappa) << "step " << step;
+    TriangleCoreResult from_csr = ComputeTriangleCores(csr);
+    for (const TriangleCoreResult* got_cores : {&from_ctx, &from_csr}) {
+      const char* what = got_cores == &from_ctx ? "context" : "csr";
+      ASSERT_EQ(got_cores->kappa, oracle_cores.kappa)
+          << what << " step " << step;
+      ASSERT_EQ(got_cores->order, oracle_cores.order)
+          << what << " step " << step;
+      ASSERT_EQ(got_cores->peel_sequence, oracle_cores.peel_sequence)
+          << what << " step " << step;
+    }
     verify::VerifyReport cert =
-        verify::CheckKappaCertificate(CsrGraph(g), from_ctx.kappa);
+        verify::CheckKappaCertificate(csr, from_ctx.kappa);
     ASSERT_TRUE(cert.AllPassed())
         << "step " << step << ": " << cert.FirstFailure()->name << " — "
         << cert.FirstFailure()->detail;

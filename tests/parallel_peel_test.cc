@@ -6,6 +6,7 @@
 // must themselves form a valid peel.
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,6 +163,76 @@ TEST(ParallelPeelTest, AllOverloadsAgreeAtEveryThreadCount) {
     ExpectSameResult(ComputeTriangleCores(AnalysisContext(g, threads)), want,
                      "AnalysisContext");
   }
+}
+
+TEST(ParallelPeelTest, LiveRowsCompactAcrossLevelsInEveryOverload) {
+  // Cliques nested around a shared hub core {0, 1, 2}: clique i holds the
+  // hubs plus its own block of members, so each level peels one clique's
+  // edges out of the hub rows, and the hub-hub edges survive to the top
+  // level. A sparse background adds support-0 edges and stray triangles.
+  Rng rng(8086);
+  const std::vector<int> blocks = {3, 6, 9, 13, 18};
+  VertexId n = 3;
+  for (int b : blocks) n += static_cast<VertexId>(b);
+  Graph g = GnmRandom(n, 3 * n, rng);
+  VertexId next = 3;
+  for (int b : blocks) {
+    std::vector<VertexId> members = {0, 1, 2};
+    for (int i = 0; i < b; ++i) members.push_back(next++);
+    PlantClique(g, members);
+  }
+
+  // Edit the graph through a DeltaCsr overlay: tombstone hub edges and
+  // background edges, then insert fresh edges (new ids past the base's
+  // capacity): random pairs, two tombstoned hub edges again, and a new
+  // vertex joined to the hubs.
+  DeltaCsr delta(std::make_shared<const CsrGraph>(g));
+  for (VertexId v : {4u, 9u, 20u, 33u}) delta.RemoveEdge(0, v);
+  auto live = delta.EdgeIds();
+  for (size_t i = 0; i < live.size(); i += 13) delta.RemoveEdgeById(live[i]);
+  for (int i = 0; i < 40; ++i) {
+    const auto u = static_cast<VertexId>(rng.NextBounded(n));
+    const auto v = static_cast<VertexId>(rng.NextBounded(n));
+    if (u != v) delta.AddEdge(u, v);
+  }
+  for (VertexId v : {9u, 33u}) delta.AddEdge(0, v);
+  const VertexId fresh = delta.AddVertex();
+  for (VertexId hub : {0u, 1u, 2u}) delta.AddEdge(hub, fresh);
+  ASSERT_GT(delta.OverlaidVertices(), 3u);
+  ASSERT_GT(delta.EdgeCapacity(), delta.base().EdgeCapacity());
+
+  auto& compacted =
+      obs::MetricsRegistry::Global().GetCounter("core.peel.entries_compacted");
+  const uint64_t before = compacted.Value();
+  const TriangleCoreResult want = ComputeTriangleCores(delta);
+  const uint64_t compacted_once = compacted.Value() - before;
+
+  const std::shared_ptr<const CsrGraph> frozen = delta.Compact();
+  ExpectSameResult(ComputeTriangleCores(*frozen), want, "CsrGraph");
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ExpectSameResult(ComputeTriangleCores(AnalysisContext(frozen, threads)),
+                     want, "AnalysisContext");
+  }
+  verify::VerifyReport cert =
+      verify::CheckKappaCertificate(*frozen, want.kappa);
+  EXPECT_TRUE(cert.AllPassed()) << cert.FirstFailure()->name;
+
+  // Several levels, and every edge in a triangle that peels below the top
+  // level leaves both endpoint rows at the next level start.
+  std::vector<uint32_t> levels;
+  uint64_t expect_compacted = 0;
+  const std::vector<uint32_t> support = ComputeEdgeSupports(*frozen);
+  frozen->ForEachEdge([&](EdgeId e, const Edge&) {
+    levels.push_back(want.kappa[e]);
+    if (support[e] != 0 && want.kappa[e] < want.max_kappa) {
+      expect_compacted += 2;
+    }
+  });
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  EXPECT_GE(levels.size(), 5u);
+  EXPECT_EQ(compacted_once, expect_compacted);
 }
 
 TEST(ParallelPeelTest, AnalysisContextOverloadUsesCachedSupports) {
